@@ -91,21 +91,13 @@ def barrier_grad_hess(qd, gamma: float):
     return grad, hess
 
 
-def _element_barrier_batch(q, grad, hess, gamma: float, squared: bool):
-    """Per-element barrier value/gradient/Hessian from quality derivatives.
-
-    With squared=True the objective is I^2 instead of I, with derivatives by
-    the chain rule.
-    """
+def _element_barrier_batch(q, grad, hess, gamma: float):
+    """Per-element barrier value/gradient/Hessian from quality derivatives."""
     val = q * q / (2.0 * (1.0 - gamma)) - np.log(q - gamma)
     c1 = q / (1.0 - gamma) - 1.0 / (q - gamma)
     c2 = 1.0 / (1.0 - gamma) + 1.0 / (q - gamma) ** 2
     g = c1[:, None] * grad
     h = c2[:, None, None] * np.einsum("mi,mj->mij", grad, grad) + c1[:, None, None] * hess
-    if squared:
-        h = 2.0 * (np.einsum("mi,mj->mij", g, g) + val[:, None, None] * h)
-        g = 2.0 * val[:, None] * g
-        val = val * val
     return val, g, h
 
 
@@ -127,16 +119,13 @@ class PatchSystem:
         return len(self.f)
 
 
-def patch_objective(mesh, patch, gamma: float, squared: bool = False) -> float:
+def patch_objective(mesh, patch, gamma: float) -> float:
     """Sum of barrier values over the patch ring; +inf on any violation."""
     q = quality_batch(mesh.tet_points(patch.ring_tets))
-    vals = barrier_values_batch(q, gamma)
-    if squared:
-        vals = vals * vals
-    return float(vals.sum())
+    return float(barrier_values_batch(q, gamma).sum())
 
 
-def assemble_patch_system(mesh, patch, params: BarrierParams, squared: bool = False) -> PatchSystem:
+def assemble_patch_system(mesh, patch, params: BarrierParams) -> PatchSystem:
     """Assemble the barrier objective, gradient and Hessian over a patch.
 
     Sums per-element 12-vector / 12x12 contributions of every ring element
@@ -160,7 +149,7 @@ def assemble_patch_system(mesh, patch, params: BarrierParams, squared: bool = Fa
             f"element {tid} quality {q[np.argmax(bad)]:.6g} at or below barrier {params.gamma:.6g}",
             tet_id=tid,
         )
-    val, g, h = _element_barrier_batch(q, grad, hess, params.gamma, squared)
+    val, g, h = _element_barrier_batch(q, grad, hess, params.gamma)
 
     # Map each tet's 12 local slots to global DOFs (-1 for fixed slots).
     order = np.argsort(free)

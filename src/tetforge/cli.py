@@ -64,9 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fix vertices whose file reference equals REF (repeatable)")
     parser.add_argument("--histogram", metavar="PATH", help="write final dihedral histogram CSV")
     parser.add_argument("--report", metavar="PATH", help="write run report JSON")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel patch dispatch (default 1, sequential)")
-    parser.add_argument("--seed", type=int, default=0, metavar="N", help="rng seed recorded in the config")
     parser.add_argument("--in-place", action="store_true", help="allow output to overwrite the input")
     return parser
 
@@ -118,8 +115,6 @@ def run_cli(argv=None) -> int:
             mode="all-patches" if args.all_patches else "selective",
             surface_motion=not args.no_surface_motion,
             feature_angle_deg=args.feature_angle,
-            seed=args.seed,
-            jobs=args.jobs,
         )
         config.validate()
     except (_UsageError, ValueError) as exc:

@@ -1,28 +1,33 @@
-"""Surface motion constraints built from the discretized boundary.
+"""Surface motion constraints as per-vertex tangent frames.
 
 A surface vertex may only move tangentially to the surface the mesh itself
 defines: its displacement must be orthogonal to the unit resultant normal
-of its incident surface triangles.  Enforcing that per free surface vertex
-(collocation, one residual row each) yields a sparse system C dX = g with
-g = 0, because the per-vertex constant is captured from the current
-position at the start of every pass.  Crease vertices get one row per
-normal cluster, which leaves exactly the crease direction free; corners do
-not move at all.
+of its incident surface triangles.  A crease vertex must be orthogonal to
+the normal of each of its two clusters, which leaves only the crease
+direction free; corners do not move at all.
 
-The constrained Newton system is formed by null-space projection:
+Every such condition touches the three DOFs of one vertex, so the
+constraint null space is block-diagonal.  Each free vertex gets an
+orthonormal 3x3 frame B_v whose first columns span its normals and whose
+remaining, kept columns span its admissible motion: all three for an
+interior vertex, two on a smooth surface, one on a crease.  The frame comes
+from the SVD of the vertex's unit normals with rank tolerance PIVOT_TOL, so
+dependent normals simply add no rank.
 
-    R  = C^T (C C^T)^-1
-    Q  = I - C^T (C C^T)^-1 C
-    S' = C^T C + Q^T S Q
-    f' = C^T g + Q^T (f - S R g)
+The constrained Newton step is the null-space step (Nocedal & Wright,
+Numerical Optimization, 16.2): with T the kept columns of the block
+diagonal B,
 
-so that solving S' dX = -f' keeps the step tangential.
+    (T^T S T) y = -T^T f,    dX = T y,
+
+so that every step is tangential by construction and the reduced system is
+smaller than S.  `projector` keeps the dense formulation as a reference.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -47,21 +52,25 @@ class VertexNormal:
 
 @dataclass
 class ConstraintSystem:
-    """Rows of unit surface normals over patch DOFs, with residuals g.
+    """Orthonormal frames of a patch's free vertices and their tangent columns.
 
-    c1 holds the per-row captured constant (current position dotted with the
-    row normal), which makes g identically zero at capture time.
+    frames : (nv, 3, 3), frames[i] for the i-th free vertex of the patch
+    keep : (nv, 3) bool, the columns of each frame along which it may move
     """
 
-    C: np.ndarray
-    g: np.ndarray
-    c1: np.ndarray
-    row_vertices: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    rows_dropped: int = 0
+    frames: np.ndarray
+    keep: np.ndarray
 
     @property
     def num_rows(self) -> int:
-        return self.C.shape[0]
+        """Number of independent normal conditions over the patch."""
+        return int(self.keep.size - self.keep.sum())
+
+    def lift(self, reduced: np.ndarray) -> np.ndarray:
+        """Map a step in the kept frame coordinates back to the patch DOFs."""
+        y = np.zeros(self.keep.shape)
+        y[self.keep] = reduced
+        return np.einsum("iab,ib->ia", self.frames, y).reshape(-1)
 
 
 def vertex_normal(v: int, mesh: TetMesh, adjacency: AdjacencyIndex) -> VertexNormal:
@@ -97,18 +106,31 @@ def _group_unit_normals(v: int, mesh: TetMesh, adjacency: AdjacencyIndex) -> lis
     return out
 
 
+def tangent_frame(normals):
+    """Orthonormal frame whose leading columns span the given unit normals.
+
+    Returns (frame, keep): the columns of the 3x3 frame with keep True span
+    the directions orthogonal to every normal.  Singular values below
+    PIVOT_TOL relative to the largest count as dependent and add no rank.
+    """
+    _, s, vt = np.linalg.svd(np.atleast_2d(normals))
+    rank = int((s > PIVOT_TOL * s[0]).sum())
+    return vt.T, np.arange(3) >= rank
+
+
 def build_constraints(patch, mesh: TetMesh, adjacency: AdjacencyIndex):
-    """Constraint rows for the free surface vertices of a patch.
+    """Tangent frames for the free vertices of a patch.
 
     Returns (ConstraintSystem, demoted) where demoted lists free vertices
     whose normals degenerated; those are reclassified as corners in place
-    and emit no rows, and the caller must drop them from the free set.
+    and keep an identity frame, and the caller must drop them from the free
+    set.
     """
-    rows, row_vertices, c1, demoted = [], [], [], []
-    free = list(patch.free_vertices)
-    index_of = {int(v): i for i, v in enumerate(free)}
-    n = 3 * len(free)
-    for v in free:
+    free = patch.free_vertices
+    frames = np.tile(np.eye(3), (len(free), 1, 1))
+    keep = np.ones((len(free), 3), dtype=bool)
+    demoted = []
+    for i, v in enumerate(free):
         cls = VertexClass(mesh.vertex_class[v])
         if cls not in (VertexClass.SURFACE_SMOOTH, VertexClass.FEATURE_EDGE):
             continue
@@ -122,45 +144,16 @@ def build_constraints(patch, mesh: TetMesh, adjacency: AdjacencyIndex):
             demoted.append(int(v))
             logger.debug("vertex %d demoted to corner: degenerate normal", v)
             continue
-        for unit in normals:
-            row = np.zeros(n)
-            row[3 * index_of[int(v)]:3 * index_of[int(v)] + 3] = unit
-            rows.append(row)
-            row_vertices.append(int(v))
-            c1.append(float(unit @ mesh.vertices[v]))
-    C = np.vstack(rows) if rows else np.zeros((0, n))
-    c1 = np.asarray(c1)
-    # g = c1 - x . n with c1 captured right here, hence exactly zero.
-    system = ConstraintSystem(
-        C=C,
-        g=np.zeros(len(rows)),
-        c1=c1,
-        row_vertices=np.asarray(row_vertices, dtype=np.int64),
-    )
-    return system, demoted
-
-
-def deduplicate_rows(C: np.ndarray, g: np.ndarray):
-    """Drop exactly repeated rows, keeping first occurrences in order."""
-    if C.shape[0] == 0:
-        return C, g
-    seen, keep = set(), []
-    for i in range(C.shape[0]):
-        key = C[i].tobytes()
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    if len(keep) == C.shape[0]:
-        return C, g
-    return C[keep], g[keep]
+        frames[i], keep[i] = tangent_frame(normals)
+    return ConstraintSystem(frames=frames, keep=keep), demoted
 
 
 def projector(C: np.ndarray, pivot_tol: float = PIVOT_TOL):
     """Null-space projector Q and right inverse R for a constraint matrix.
 
-    Dependent rows (pivoted-QR pivot below pivot_tol relative to the
-    largest) are dropped first.  Returns (Q, R, C_kept, g_keep_indices,
-    dropped_count).
+    Dense reference for the frame reduction: dependent rows (pivoted-QR
+    pivot below pivot_tol relative to the largest) are dropped first.
+    Returns (Q, R, C_kept, g_keep_indices, dropped_count).
     """
     m, n = C.shape
     if m == 0:
@@ -181,14 +174,16 @@ def projector(C: np.ndarray, pivot_tol: float = PIVOT_TOL):
     return Q, R, Ck, keep, dropped
 
 
-def project_system(S: np.ndarray, f: np.ndarray, C: np.ndarray, g: np.ndarray):
-    """Fold C dX = g into the Newton system; returns (S', f', dropped)."""
-    if C is None or C.shape[0] == 0:
-        return S, f, 0
-    C2, g2 = deduplicate_rows(C, g)
-    Q, R, Ck, keep, dropped = projector(C2)
-    gk = g2[keep]
-    dropped += C.shape[0] - C2.shape[0]
-    S_p = Ck.T @ Ck + Q.T @ S @ Q
-    f_p = Ck.T @ gk + Q.T @ (f - S @ (R @ gk))
-    return S_p, f_p, dropped
+def project_system(S: np.ndarray, f: np.ndarray, frames: np.ndarray, keep: np.ndarray):
+    """Reduce S dX = -f to the kept frame columns: ((B^T S B)[k, k], (B^T f)[k]).
+
+    B is block-diagonal with the (nv, 3, 3) frames on its diagonal, so the
+    rotation runs block by block in O(n^2).
+    """
+    nv = len(frames)
+    S4 = np.einsum("iab,iajc->ibjc", frames, S.reshape(nv, 3, nv, 3), optimize=True)
+    S4 = np.einsum("ibjc,jcd->ibjd", S4, frames, optimize=True)
+    k = keep.reshape(-1)
+    S_r = S4.reshape(3 * nv, 3 * nv)[np.ix_(k, k)]
+    f_r = np.einsum("iab,ia->ib", frames, f.reshape(nv, 3)).reshape(-1)[k]
+    return S_r, f_r

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,10 +56,7 @@ class RunConfig:
     mode: str = "selective"
     surface_motion: bool = True
     feature_angle_deg: float = 30.0
-    seed: int = 0
-    jobs: int = 1
     max_inner: int = DEFAULT_MAX_INNER
-    squared_barrier: bool = False
     convergence_tol: float = 1e-4
 
     def validate(self) -> None:
@@ -73,8 +69,6 @@ class RunConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.max_passes < 1:
             raise ValueError("max_passes must be positive")
-        if self.jobs < 1:
-            raise ValueError("jobs must be positive")
 
 
 @dataclass
@@ -204,30 +198,6 @@ def select_patches(mesh: TetMesh, adjacency: AdjacencyIndex, target_quality: flo
     return patches
 
 
-def _ring_vertex_set(mesh: TetMesh, patch: Patch) -> frozenset:
-    return frozenset(np.unique(mesh.tets[patch.ring_tets]).tolist())
-
-
-def _independent_waves(mesh: TetMesh, patches: list) -> list:
-    """Group patches into waves whose ring-vertex sets do not overlap.
-
-    Patches in one wave neither read nor write any vertex another touches,
-    so a wave can be dispatched across threads.
-    """
-    waves, wave_sets = [], []
-    for patch in patches:
-        verts = _ring_vertex_set(mesh, patch)
-        for i, used in enumerate(wave_sets):
-            if not (verts & used):
-                waves[i].append(patch)
-                wave_sets[i] = used | verts
-                break
-        else:
-            waves.append([patch])
-            wave_sets.append(verts)
-    return waves
-
-
 def _patch_constraints(mesh: TetMesh, adjacency: AdjacencyIndex, patch: Patch):
     """Constraint system for a patch, dropping vertices whose normal degenerates."""
     system, demoted = build_constraints(patch, mesh, adjacency)
@@ -245,12 +215,7 @@ def _run_patch(mesh, adjacency, patch, params, config):
         constraints = _patch_constraints(mesh, adjacency, patch)
         if constraints.num_rows == 0:
             constraints = None
-    return optimize_patch(
-        mesh, patch, params,
-        constraints=constraints,
-        max_inner=config.max_inner,
-        squared=config.squared_barrier,
-    )
+    return optimize_patch(mesh, patch, params, constraints=constraints, max_inner=config.max_inner)
 
 
 def optimize_mesh(mesh: TetMesh, config: RunConfig,
@@ -271,72 +236,59 @@ def optimize_mesh(mesh: TetMesh, config: RunConfig,
     report.min_quality_seen = report.initial_metrics.q_min
     boundary_volume_0 = surface_enclosed_volume(mesh.vertices, adjacency.boundary_faces)
 
-    executor = ThreadPoolExecutor(max_workers=config.jobs) if config.jobs > 1 else None
-    try:
-        for b in config.b_schedule:
-            for pass_index in range(config.max_passes):
-                t_pass = time.perf_counter()
-                qualities = quality_batch(mesh.tet_points())
-                q_min_before = float(np.nanmin(qualities))
-                gamma = compute_gamma(q_min_before, b)
-                params = BarrierParams(b=b, q_min=q_min_before, gamma=gamma)
-                patches = select_patches(
-                    mesh, adjacency, config.target_quality,
-                    mode=config.mode, surface_motion=config.surface_motion,
-                    qualities=qualities,
-                )
-                if not patches:
-                    break
-                stalled = 0
-                if executor is None:
-                    for patch in patches:
-                        solve = _run_patch(mesh, adjacency, patch, params, config)
-                        stalled += int(solve.stalled)
-                        report.min_quality_seen = min(report.min_quality_seen, solve.min_quality)
-                else:
-                    for wave in _independent_waves(mesh, patches):
-                        results = list(executor.map(
-                            lambda p: _run_patch(mesh, adjacency, p, params, config), wave))
-                        for solve in results:
-                            stalled += int(solve.stalled)
-                            report.min_quality_seen = min(report.min_quality_seen, solve.min_quality)
+    for b in config.b_schedule:
+        for pass_index in range(config.max_passes):
+            t_pass = time.perf_counter()
+            qualities = quality_batch(mesh.tet_points())
+            q_min_before = float(np.nanmin(qualities))
+            gamma = compute_gamma(q_min_before, b)
+            params = BarrierParams(b=b, q_min=q_min_before, gamma=gamma)
+            patches = select_patches(
+                mesh, adjacency, config.target_quality,
+                mode=config.mode, surface_motion=config.surface_motion,
+                qualities=qualities,
+            )
+            if not patches:
+                break
+            stalled = 0
+            for patch in patches:
+                solve = _run_patch(mesh, adjacency, patch, params, config)
+                stalled += int(solve.stalled)
+                report.min_quality_seen = min(report.min_quality_seen, solve.min_quality)
 
-                q_after = quality_batch(mesh.tet_points())
-                q_min_after = float(np.nanmin(q_after))
-                angles = dihedral_angles_batch(mesh.tet_points())
-                finite = angles[np.isfinite(angles)]
-                volume_now = float(tet_volumes(mesh.tet_points()).sum())
-                boundary_now = surface_enclosed_volume(mesh.vertices, adjacency.boundary_faces)
-                drift = abs(boundary_now - boundary_volume_0) / abs(boundary_volume_0) * 100.0 \
-                    if boundary_volume_0 else 0.0
-                record = PassRecord(
-                    b=b,
-                    pass_index=pass_index,
-                    gamma=gamma,
-                    q_min_before=q_min_before,
-                    q_min=q_min_after,
-                    min_dihedral_deg=float(finite.min()) if finite.size else np.nan,
-                    max_dihedral_deg=float(finite.max()) if finite.size else np.nan,
-                    volume=volume_now,
-                    drift_percent=drift,
-                    elapsed_s=time.perf_counter() - t_pass,
-                    patches=len(patches),
-                    stalled=stalled,
-                )
-                report.passes.append(record)
-                report.min_quality_seen = min(report.min_quality_seen, q_min_after)
-                if on_pass is not None:
-                    on_pass(record)
-                logger.info(
-                    "pass %d (b=%.2f): q_min %.4f -> %.4f, %d patches, %d stalled, %.3fs",
-                    pass_index, b, q_min_before, q_min_after, len(patches), stalled,
-                    record.elapsed_s,
-                )
-                if q_min_after - q_min_before < config.convergence_tol:
-                    break
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+            q_after = quality_batch(mesh.tet_points())
+            q_min_after = float(np.nanmin(q_after))
+            angles = dihedral_angles_batch(mesh.tet_points())
+            finite = angles[np.isfinite(angles)]
+            volume_now = float(tet_volumes(mesh.tet_points()).sum())
+            boundary_now = surface_enclosed_volume(mesh.vertices, adjacency.boundary_faces)
+            drift = abs(boundary_now - boundary_volume_0) / abs(boundary_volume_0) * 100.0 \
+                if boundary_volume_0 else 0.0
+            record = PassRecord(
+                b=b,
+                pass_index=pass_index,
+                gamma=gamma,
+                q_min_before=q_min_before,
+                q_min=q_min_after,
+                min_dihedral_deg=float(finite.min()) if finite.size else np.nan,
+                max_dihedral_deg=float(finite.max()) if finite.size else np.nan,
+                volume=volume_now,
+                drift_percent=drift,
+                elapsed_s=time.perf_counter() - t_pass,
+                patches=len(patches),
+                stalled=stalled,
+            )
+            report.passes.append(record)
+            report.min_quality_seen = min(report.min_quality_seen, q_min_after)
+            if on_pass is not None:
+                on_pass(record)
+            logger.info(
+                "pass %d (b=%.2f): q_min %.4f -> %.4f, %d patches, %d stalled, %.3fs",
+                pass_index, b, q_min_before, q_min_after, len(patches), stalled,
+                record.elapsed_s,
+            )
+            if q_min_after - q_min_before < config.convergence_tol:
+                break
 
     report.final_metrics = global_metrics(mesh, adjacency)
     boundary_final = surface_enclosed_volume(mesh.vertices, adjacency.boundary_faces)

@@ -93,6 +93,8 @@ class TetMesh:
 
         Internal surfaces (triangles shared by two tets, e.g. crack faces)
         are tolerated by default; a triangle matching no tet face never is.
+        Inverted tets are valid input, but a tet whose quality is not finite
+        (all four vertices at one point) is not.
         """
         nv = self.num_vertices
         if not np.all(np.isfinite(self.vertices)):
@@ -103,6 +105,11 @@ class TetMesh:
             sorted_tets = np.sort(self.tets, axis=1)
             if np.any(sorted_tets[:, :-1] == sorted_tets[:, 1:]):
                 raise MeshStructureError("tet with repeated vertex")
+            from tetforge.quality import quality_batch  # quality imports this module
+
+            bad = ~np.isfinite(quality_batch(self.tet_points()))
+            if np.any(bad):
+                raise MeshStructureError(f"tet {int(np.argmax(bad))} is degenerate: its quality is not finite")
         if len(self.surface_tris):
             if self.surface_tris.min() < 0 or self.surface_tris.max() >= nv:
                 raise MeshStructureError("surface triangle index out of range")

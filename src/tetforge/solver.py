@@ -74,7 +74,7 @@ def newton_direction(S: np.ndarray, f: np.ndarray):
 
 
 def line_search(mesh, patch, system: PatchSystem, direction: np.ndarray,
-                params: BarrierParams, squared: bool = False) -> tuple:
+                params: BarrierParams) -> tuple:
     """Backtracking step along `direction`; moves the mesh on acceptance.
 
     Halves alpha from 1 until every ring element stays strictly above gamma
@@ -100,8 +100,7 @@ def line_search(mesh, patch, system: PatchSystem, direction: np.ndarray,
             violations += 1
             alpha *= 0.5
             continue
-        vals = barrier_values_batch(q, params.gamma)
-        obj = float((vals * vals).sum()) if squared else float(vals.sum())
+        obj = float(barrier_values_batch(q, params.gamma).sum())
         if obj <= system.objective + ARMIJO_C * alpha * slope:
             return alpha, violations, obj, float(q.min())
         alpha *= 0.5
@@ -111,22 +110,22 @@ def line_search(mesh, patch, system: PatchSystem, direction: np.ndarray,
 
 def optimize_patch(mesh, patch, params: BarrierParams,
                    constraints: ConstraintSystem | None = None,
-                   max_inner: int = DEFAULT_MAX_INNER,
-                   squared: bool = False) -> SolveReport:
+                   max_inner: int = DEFAULT_MAX_INNER) -> SolveReport:
     """Run up to max_inner Newton iterations on one patch at fixed gamma.
 
-    Constraint rows, when given, are frozen for the whole solve; the mesh
-    coordinates of the patch's free vertices are updated in place.  A patch
-    that cannot make progress is reported as stalled, not raised.
+    Constraint frames, when given, are frozen for the whole solve and each
+    Newton system is reduced to their tangent columns; the mesh coordinates
+    of the patch's free vertices are updated in place.  A patch that cannot
+    make progress is reported as stalled, not raised.
     """
     report = SolveReport()
     for _ in range(max_inner):
-        system = assemble_patch_system(mesh, patch, params, squared=squared)
+        system = assemble_patch_system(mesh, patch, params)
         report.objective = system.objective
         if system.ndof == 0:
             break
-        if constraints is not None and constraints.num_rows:
-            S_eff, f_eff, _ = project_system(system.S, system.f, constraints.C, constraints.g)
+        if constraints is not None:
+            S_eff, f_eff = project_system(system.S, system.f, constraints.frames, constraints.keep)
         else:
             S_eff, f_eff = system.S, system.f
         if float(np.linalg.norm(f_eff)) <= GRAD_TOL * max(1.0, abs(system.objective)):
@@ -136,7 +135,9 @@ def optimize_patch(mesh, patch, params: BarrierParams,
         except NoProgressError:
             report.stalled = True
             break
-        alpha, violations, obj, min_q = line_search(mesh, patch, system, dx, params, squared=squared)
+        if constraints is not None:
+            dx = constraints.lift(dx)
+        alpha, violations, obj, min_q = line_search(mesh, patch, system, dx, params)
         report.barrier_violations += violations
         if alpha == 0.0:
             report.stalled = True

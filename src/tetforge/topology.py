@@ -41,9 +41,6 @@ class AdjacencyIndex:
     boundary_faces: np.ndarray = field(default_factory=lambda: np.zeros((0, 3), dtype=np.int64))
     feature_angle_deg: float = 30.0
 
-    def star(self, v: int) -> np.ndarray:
-        return self.vertex_tets[v]
-
     def ring_tets(self, vertices) -> np.ndarray:
         """Ids of all tets incident to any vertex in the given set."""
         if len(vertices) == 0:

@@ -205,29 +205,6 @@ def test_system_symmetric():
     assert np.abs(system.S - system.S.T).max() <= 1e-12 * scale
 
 
-def test_squared_variant_derivatives_by_chain_rule():
-    mesh = generate_test_mesh("grid", 2, seed=4, jitter=0.25)
-    adjacency = build_topology(mesh)
-    patch = _interior_patch(mesh, adjacency)
-    params = BarrierParams.from_quality(0.05, 0.8)
-    system = assemble_patch_system(mesh, patch, params, squared=True)
-
-    free = np.asarray(patch.free_vertices)
-
-    def objective_of(x):
-        saved = mesh.vertices[free].copy()
-        mesh.vertices[free] = x.reshape(-1, 3)
-        try:
-            return patch_objective(mesh, patch, params.gamma, squared=True)
-        finally:
-            mesh.vertices[free] = saved
-
-    x0 = mesh.vertices[free].reshape(-1).copy()
-    assert system.objective == pytest.approx(objective_of(x0), rel=1e-12)
-    g_fd = fd_gradient(objective_of, x0, 1e-7)
-    assert np.linalg.norm(system.f - g_fd) <= 1e-5 * np.linalg.norm(g_fd)
-
-
 def test_barrier_params_validation():
     with pytest.raises(ValueError):
         BarrierParams(b=0.8, q_min=0.5, gamma=0.5)

@@ -117,7 +117,7 @@ def test_determinism(tmp_path, sliver_mesh_file):
     outs = []
     for name in ("a.mesh", "b.mesh"):
         out = tmp_path / name
-        code = run_cli([str(sliver_mesh_file), "-o", str(out), "--seed", "3"])
+        code = run_cli([str(sliver_mesh_file), "-o", str(out)])
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
@@ -129,3 +129,15 @@ def test_vtk_output(tmp_path, sliver_mesh_file):
     assert code == 0
     improved = load_mesh(out)
     assert improved.num_tets == load_mesh(sliver_mesh_file).num_tets
+
+
+def test_collapsed_tet_exit_2_names_it(tmp_path, capsys):
+    from tetforge.io import _format_medit
+    from test_mesh_core import collapsed_tet_mesh
+
+    path = tmp_path / "bad.mesh"
+    path.write_text(_format_medit(collapsed_tet_mesh()))  # save_mesh would refuse it
+    assert run_cli([str(path), "-o", str(tmp_path / "out.mesh")]) == 2
+    err = capsys.readouterr().err
+    assert "tet 100 is degenerate" in err
+    assert "barrier" not in err

@@ -3,16 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tetforge.barrier import BarrierParams, assemble_patch_system
 from tetforge.constraints import (
+    ConstraintSystem,
     build_constraints,
-    deduplicate_rows,
     project_system,
     projector,
+    tangent_frame,
     vertex_normal,
 )
 from tetforge.driver import Patch, select_patches
 from tetforge.fixtures import generate_test_mesh
-from tetforge.mesh import VertexClass
+from tetforge.mesh import VertexClass, triangle_area_normals
+from tetforge.quality import quality_batch
 from tetforge.topology import build_topology
 
 
@@ -20,6 +23,33 @@ def _patch_of_all_movable(mesh, adjacency):
     patches = select_patches(mesh, adjacency, target_quality=2.0, surface_motion=True)
     assert len(patches) == 1
     return patches[0]
+
+
+def _vertex_normals(v, mesh, adjacency):
+    """Unit constraint normals of a free vertex, computed independently:
+    the resultant normal on a smooth surface, one per cluster on a crease."""
+    cls = mesh.vertex_class[v]
+    if cls == VertexClass.SURFACE_SMOOTH:
+        return [vertex_normal(int(v), mesh, adjacency).unit_n]
+    if cls == VertexClass.FEATURE_EDGE:
+        out = []
+        for tri_ids in adjacency.normal_groups[int(v)]:
+            n = triangle_area_normals(mesh.vertices, mesh.surface_tris[tri_ids]).sum(axis=0)
+            out.append(n / np.linalg.norm(n))
+        return out
+    return []
+
+
+def _dense_rows(patch, mesh, adjacency):
+    """The constraint matrix C over all patch DOFs, one row per normal."""
+    n = 3 * len(patch.free_vertices)
+    rows = []
+    for i, v in enumerate(patch.free_vertices):
+        for unit in _vertex_normals(v, mesh, adjacency):
+            row = np.zeros(n)
+            row[3 * i:3 * i + 3] = unit
+            rows.append(row)
+    return np.array(rows).reshape(-1, n)
 
 
 # --- vertex normals ----------------------------------------------------------
@@ -62,21 +92,27 @@ def test_sphere_vertex_normals_near_radial():
     assert worst < 15.0
 
 
-# --- constraint rows ----------------------------------------------------------
+# --- tangent frames -----------------------------------------------------------
 
-def test_smooth_vertex_gets_unit_row_and_zero_residual():
+def test_surface_vertices_get_orthonormal_tangent_frames():
     mesh = generate_test_mesh("grid", 2)
     adjacency = build_topology(mesh)
     patch = _patch_of_all_movable(mesh, adjacency)
     system, demoted = build_constraints(patch, mesh, adjacency)
     assert not demoted
-    assert system.num_rows > 0
-    assert np.allclose(system.g, 0.0)
-    assert np.allclose(np.linalg.norm(system.C, axis=1), 1.0, atol=1e-12)
-    # every smooth free vertex contributes one row, every crease vertex two
+    assert system.frames.shape == (len(patch.free_vertices), 3, 3)
+    eye = np.broadcast_to(np.eye(3), system.frames.shape)
+    assert np.allclose(np.swapaxes(system.frames, 1, 2) @ system.frames, eye, atol=1e-12)
+    # interior vertices keep all three columns, smooth two, crease one
+    expected = {VertexClass.INTERIOR: 3, VertexClass.SURFACE_SMOOTH: 2, VertexClass.FEATURE_EDGE: 1}
+    for i, v in enumerate(patch.free_vertices):
+        assert system.keep[i].sum() == expected[VertexClass(mesh.vertex_class[v])]
+        if mesh.vertex_class[v] == VertexClass.SURFACE_SMOOTH:
+            normal_col = system.frames[i][:, ~system.keep[i]][:, 0]
+            assert abs(normal_col @ vertex_normal(int(v), mesh, adjacency).unit_n) == pytest.approx(1.0, abs=1e-12)
     smooth = sum(mesh.vertex_class[v] == VertexClass.SURFACE_SMOOTH for v in patch.free_vertices)
     crease = sum(mesh.vertex_class[v] == VertexClass.FEATURE_EDGE for v in patch.free_vertices)
-    assert system.num_rows == smooth + 2 * crease
+    assert system.num_rows == smooth + 2 * crease > 0
 
 
 def test_feature_edge_null_space_is_crease_direction():
@@ -84,17 +120,14 @@ def test_feature_edge_null_space_is_crease_direction():
     adjacency = build_topology(mesh)
     patch = _patch_of_all_movable(mesh, adjacency)
     system, _ = build_constraints(patch, mesh, adjacency)
-    index_of = {int(v): i for i, v in enumerate(patch.free_vertices)}
-    edges = [v for v in patch.free_vertices if mesh.vertex_class[v] == VertexClass.FEATURE_EDGE]
+    edges = [i for i, v in enumerate(patch.free_vertices)
+             if mesh.vertex_class[v] == VertexClass.FEATURE_EDGE]
     assert edges
-    for v in edges:
-        cols = slice(3 * index_of[int(v)], 3 * index_of[int(v)] + 3)
-        rows = system.C[np.abs(system.C[:, cols]).sum(axis=1) > 0][:, cols]
-        assert rows.shape == (2, 3)
-        _, s, vt = np.linalg.svd(rows)
-        rank = int((s > 1e-10).sum())
-        assert 3 - rank == 1  # admissible motion spans exactly the crease line
-        crease = vt[-1]
+    for i in edges:
+        assert system.keep[i].sum() == 1  # admissible motion spans exactly the crease line
+        crease = system.frames[i][:, system.keep[i]][:, 0]
+        for unit in _vertex_normals(patch.free_vertices[i], mesh, adjacency):
+            assert abs(crease @ unit) <= 1e-12
         # on the cube, a crease runs along a coordinate axis
         assert np.sort(np.abs(crease))[-1] == pytest.approx(1.0, abs=1e-10)
 
@@ -110,26 +143,28 @@ def test_patch_without_surface_vertices_has_no_rows():
     system, demoted = build_constraints(patch, mesh, adjacency)
     assert system.num_rows == 0
     assert not demoted
+    assert np.array_equal(system.frames, np.eye(3)[None])
     S = np.eye(3)
     f = np.array([1.0, 2.0, 3.0])
-    S2, f2, dropped = project_system(S, f, system.C, system.g)
-    assert dropped == 0
+    S2, f2 = project_system(S, f, system.frames, system.keep)
     assert np.array_equal(S2, S)
     assert np.array_equal(f2, f)
 
 
-# --- null-space projection ----------------------------------------------------
+# --- null-space step -------------------------------------------------------------
 
 def test_axis_constraint_blocks_x_motion():
     C = np.array([[1.0, 0.0, 0.0]])
-    g = np.zeros(1)
     S = np.diag([2.0, 3.0, 4.0])
     f = np.array([1.0, 1.0, 1.0])
-    Q, R, Ck, keep, dropped = projector(C)
+    Q, *_ = projector(C)
     assert np.allclose(Q, np.diag([0.0, 1.0, 1.0]), atol=1e-14)
-    S2, f2, _ = project_system(S, f, C, g)
-    dx = np.linalg.solve(S2, -f2)
+    frame, keep = tangent_frame(C)
+    S2, f2 = project_system(S, f, frame[None], keep[None])
+    assert S2.shape == (2, 2)
+    dx = frame[:, keep] @ np.linalg.solve(S2, -f2)
     assert abs(dx[0]) < 1e-12
+    assert np.allclose(dx, [0.0, -1.0 / 3.0, -1.0 / 4.0], atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -158,31 +193,39 @@ def test_rank_deficient_rows_dropped():
     assert np.linalg.norm(Q @ C.T) <= 1e-10
 
 
-def test_duplicate_rows_removed_before_projection():
-    C = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
-    g = np.zeros(2)
-    C2, g2 = deduplicate_rows(C, g)
-    assert C2.shape == (1, 3)
-    S = np.eye(3)
-    f = np.ones(3)
-    S2, f2, dropped = project_system(S, f, C, g)
-    assert dropped == 1
-    dx = np.linalg.solve(S2, -f2)
+def test_duplicate_normals_add_no_rank():
+    frame, keep = tangent_frame(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]))
+    assert keep.tolist() == [False, True, True]
+    S2, f2 = project_system(np.eye(3), np.ones(3), frame[None], keep[None])
+    dx = frame[:, keep] @ np.linalg.solve(S2, -f2)
     assert abs(dx[2]) < 1e-12
+    # a normal in the span of two others adds no rank either
+    n1, n2 = np.array([1.0, 0.0, 0.0]), np.array([0.6, 0.8, 0.0])
+    n3 = (n1 + n2) / np.linalg.norm(n1 + n2)
+    frame, keep = tangent_frame(np.array([n1, n2, n3]))
+    assert keep.tolist() == [False, False, True]
+    assert np.allclose(np.abs(frame[:, 2]), [0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_solved_step_is_tangential():
-    # with g = 0, the solved update must satisfy C dx = 0
+    # random per-vertex normals: every lifted step is orthogonal to all of them
     rng = np.random.default_rng(7)
     for _ in range(20):
-        n, m = 12, 4
-        C = rng.normal(size=(m, n))
-        A = rng.normal(size=(n, n))
-        S = A @ A.T + 0.1 * np.eye(n)
-        f = rng.normal(size=n)
-        S2, f2, _ = project_system(S, f, C, np.zeros(m))
-        dx = np.linalg.solve(S2, -f2)
-        assert np.linalg.norm(C @ dx) <= 1e-8 * max(1.0, np.linalg.norm(dx))
+        nv = 4
+        normals = [rng.normal(size=(int(rng.integers(0, 3)), 3)) for _ in range(nv)]
+        frames = np.tile(np.eye(3), (nv, 1, 1))
+        keep = np.ones((nv, 3), dtype=bool)
+        for i, ns in enumerate(normals):
+            if len(ns):
+                frames[i], keep[i] = tangent_frame(ns / np.linalg.norm(ns, axis=1)[:, None])
+        A = rng.normal(size=(3 * nv, 3 * nv))
+        S = A @ A.T + 0.1 * np.eye(3 * nv)
+        f = rng.normal(size=3 * nv)
+        S2, f2 = project_system(S, f, frames, keep)
+        dx = ConstraintSystem(frames, keep).lift(np.linalg.solve(S2, -f2)).reshape(nv, 3)
+        for i, ns in enumerate(normals):
+            for n in ns:
+                assert abs(n @ dx[i]) <= 1e-10 * max(1.0, np.linalg.norm(dx))
 
 
 def test_first_order_volume_preservation_single_vertex():
@@ -193,20 +236,55 @@ def test_first_order_volume_preservation_single_vertex():
     adjacency = build_topology(mesh)
     patch = select_patches(mesh, adjacency, target_quality=2.0, surface_motion=True)[0]
     system, _ = build_constraints(patch, mesh, adjacency)
-    index_of = {int(v): i for i, v in enumerate(patch.free_vertices)}
     rng = np.random.default_rng(0)
     n = 3 * len(patch.free_vertices)
-    S = np.eye(n)
     f = rng.normal(size=n)
-    S2, f2, _ = project_system(S, f, system.C, system.g)
-    dx = np.linalg.solve(S2, -f2)
+    S2, f2 = project_system(np.eye(n), f, system.frames, system.keep)
+    dx = system.lift(np.linalg.solve(S2, -f2)).reshape(-1, 3)
     checked = 0
-    for v in patch.free_vertices:
+    for i, v in enumerate(patch.free_vertices):
         if mesh.vertex_class[v] != VertexClass.SURFACE_SMOOTH:
             continue
         vn = vertex_normal(int(v), mesh, adjacency)
-        step = dx[3 * index_of[int(v)]:3 * index_of[int(v)] + 3]
         local_volume = abs(np.dot(mesh.vertices[v], vn.n))
-        assert abs(step @ vn.n) / 3.0 <= 1e-8 * max(local_volume, 1e-6)
+        assert abs(dx[i] @ vn.n) / 3.0 <= 1e-8 * max(local_volume, 1e-6)
         checked += 1
     assert checked > 0
+
+
+def _sphere_patch():
+    mesh = generate_test_mesh("sphere", 4, seed=6, jitter=0.1)
+    adjacency = build_topology(mesh)
+    patches = select_patches(mesh, adjacency, target_quality=0.3, surface_motion=True)
+    return mesh, adjacency, max(patches, key=lambda p: len(p.free_vertices))
+
+
+def _crease_grid_patch():
+    mesh = generate_test_mesh("grid", 3, seed=0, jitter=0.25)
+    adjacency = build_topology(mesh)
+    patch = _patch_of_all_movable(mesh, adjacency)
+    assert (mesh.vertex_class[patch.free_vertices] == VertexClass.FEATURE_EDGE).any()
+    return mesh, adjacency, patch
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["tau0", "shifted"])
+@pytest.mark.parametrize("make_patch", [_sphere_patch, _crease_grid_patch], ids=["sphere", "crease-grid"])
+def test_frame_step_matches_projector_step(make_patch, shifted):
+    mesh, adjacency, patch = make_patch()
+    params = BarrierParams.from_quality(float(quality_batch(mesh.tet_points()).min()), 0.8)
+    system = assemble_patch_system(mesh, patch, params)
+    S, f = system.S, system.f
+    tau = 1e-2 * float(np.abs(np.diag(S)).max()) if shifted else 0.0
+
+    # reference: the dense null-space system S' = C^T C + Q^T S Q, f' = Q^T f
+    Q, _, Ck, _, dropped = projector(_dense_rows(patch, mesh, adjacency))
+    assert dropped == 0
+    S_p = Ck.T @ Ck + Q.T @ S @ Q
+    expected = np.linalg.solve(S_p + tau * np.eye(len(f)), -(Q.T @ f))
+
+    constraints, demoted = build_constraints(patch, mesh, adjacency)
+    assert not demoted and constraints.num_rows > 0
+    S_r, f_r = project_system(S, f, constraints.frames, constraints.keep)
+    assert len(f_r) == len(f) - Ck.shape[0]
+    step = constraints.lift(np.linalg.solve(S_r + tau * np.eye(len(f_r)), -f_r))
+    assert np.linalg.norm(step - expected) <= 1e-10 * np.linalg.norm(expected)

