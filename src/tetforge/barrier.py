@@ -11,17 +11,24 @@ The per-element Hessian of I is the true second derivative,
   (1/(1-gamma) + 1/(q-gamma)^2) grad q grad q^T + I'(q) hess q;
 note the plus sign on the rank-one term, which is what differentiating the
 gradient forces and what the finite-difference checks in the test suite pin
-down.
+down.  It keeps the factored form of the quality Hessian (quality.py) with
+a different 2x2 per element.
+
+Patch assembly builds only the 3x3 blocks whose two vertex slots are both
+free; blocks touching a fixed vertex never reach the system.  The index
+arrays that pick and scatter those blocks depend on connectivity alone, so
+a `PatchPlan` is built once per patch solve and reused by every assembly
+and line search of that solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from tetforge.errors import BarrierViolationError
-from tetforge.quality import quality_batch, quality_diff_batch
+from tetforge.quality import SlotPairs, quality_batch, quality_diff_batch, slot_pairs
 
 
 def compute_gamma(q_min: float, b: float) -> float:
@@ -91,28 +98,72 @@ def barrier_grad_hess(qd, gamma: float):
     return grad, hess
 
 
-def _element_barrier_batch(q, grad, hess, gamma: float):
-    """Per-element barrier value/gradient/Hessian from quality derivatives."""
-    val = q * q / (2.0 * (1.0 - gamma)) - np.log(q - gamma)
-    c1 = q / (1.0 - gamma) - 1.0 / (q - gamma)
-    c2 = 1.0 / (1.0 - gamma) + 1.0 / (q - gamma) ** 2
-    g = c1[:, None] * grad
-    h = c2[:, None, None] * np.einsum("mi,mj->mij", grad, grad) + c1[:, None, None] * hess
-    return val, g, h
+@dataclass
+class PatchPlan:
+    """Connectivity-only index arrays for assembling one patch.
+
+    ring, tets : ids of the ring elements and their (m, 4) vertex ids
+    free : free vertex ids; free[i] owns DOFs 3i..3i+2
+    grad_index, grad_dof : flat (m*12) gradient entries of free slots and
+        the DOF each lands in
+    pairs : the (element, slot, slot) blocks with both slots free
+    scatter : (len(pairs.row) * 9,) flat row-major index into S of each
+        entry of those blocks
+    """
+
+    ring: np.ndarray
+    tets: np.ndarray
+    free: np.ndarray
+    grad_index: np.ndarray
+    grad_dof: np.ndarray
+    pairs: SlotPairs
+    scatter: np.ndarray
+
+    @property
+    def ndof(self) -> int:
+        return 3 * len(self.free)
+
+
+def plan_patch(mesh, patch) -> PatchPlan:
+    """Index arrays for the free-slot assembly of `patch` on `mesh`'s connectivity."""
+    free = np.asarray(patch.free_vertices, dtype=np.int64)
+    ring = np.asarray(patch.ring_tets, dtype=np.int64)
+    tets = mesh.tets[ring]
+    n = 3 * len(free)
+    hit = np.zeros(tets.shape, dtype=bool)
+    dof = np.zeros(tets.shape, dtype=np.int64)  # first DOF of each slot's vertex, read only where hit
+    if len(free):
+        order = np.argsort(free)
+        sorted_free = free[order]
+        pos = np.searchsorted(sorted_free, tets)
+        pos[pos >= len(free)] = 0
+        hit = sorted_free[pos] == tets
+        dof = 3 * order[pos]
+
+    xyz = np.arange(3)
+    e, i = np.nonzero(hit)
+    grad_index = ((4 * e + i)[:, None] * 3 + xyz).reshape(-1)
+    grad_dof = (dof[e, i][:, None] + xyz).reshape(-1)
+
+    e, i, j = np.nonzero(hit[:, :, None] & hit[:, None, :])
+    rows = dof[e, i][:, None, None] + xyz[None, :, None]
+    cols = dof[e, j][:, None, None] + xyz[None, None, :]
+    return PatchPlan(ring=ring, tets=tets, free=free, grad_index=grad_index, grad_dof=grad_dof,
+                     pairs=slot_pairs(e, i, j), scatter=(rows * n + cols).reshape(-1))
 
 
 @dataclass
 class PatchSystem:
     """Assembled Newton system for a patch: S dX = -f over the free DOFs.
 
-    dof_map maps each free vertex id to the index of its x DOF (y, z follow).
+    DOFs 3i..3i+2 belong to plan.free[i]; plan is the index set the system
+    was assembled with.
     """
 
-    dof_map: dict[int, int]
     S: np.ndarray
     f: np.ndarray
     objective: float
-    element_qualities: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    plan: PatchPlan
 
     @property
     def ndof(self) -> int:
@@ -125,47 +176,36 @@ def patch_objective(mesh, patch, gamma: float) -> float:
     return float(barrier_values_batch(q, gamma).sum())
 
 
-def assemble_patch_system(mesh, patch, params: BarrierParams) -> PatchSystem:
+def assemble_patch_system(mesh, patch, params: BarrierParams, plan: PatchPlan | None = None) -> PatchSystem:
     """Assemble the barrier objective, gradient and Hessian over a patch.
 
-    Sums per-element 12-vector / 12x12 contributions of every ring element
-    into the free DOFs given by the patch's free vertices; fixed vertices
-    simply do not scatter.  Raises BarrierViolationError naming the first
-    offending element if any ring quality is at or below gamma.
+    Sums the free-slot parts of every ring element's gradient and Hessian
+    into the DOFs of the patch's free vertices; `plan` (built from the
+    patch when not given) says which parts and where.  Raises
+    BarrierViolationError naming the first offending element if any ring
+    quality is at or below gamma.
     """
-    free = np.asarray(patch.free_vertices, dtype=np.int64)
-    dof_map = {int(v): 3 * i for i, v in enumerate(free)}
-    n = 3 * len(free)
-    ring = np.asarray(patch.ring_tets, dtype=np.int64)
-    if len(ring) == 0 or n == 0:
-        return PatchSystem(dof_map=dof_map, S=np.zeros((n, n)), f=np.zeros(n), objective=0.0)
+    if plan is None:
+        plan = plan_patch(mesh, patch)
+    n = plan.ndof
+    if len(plan.tets) == 0 or n == 0:
+        return PatchSystem(S=np.zeros((n, n)), f=np.zeros(n), objective=0.0, plan=plan)
 
-    tets = mesh.tets[ring]
-    q, grad, hess = quality_diff_batch(mesh.vertices[tets])
+    q, grad, hess = quality_diff_batch(mesh.vertices[plan.tets])
     bad = ~(np.isfinite(q) & (q > params.gamma))
     if np.any(bad):
-        tid = int(ring[np.argmax(bad)])
+        k = int(np.argmax(bad))
+        tid = int(plan.ring[k])
         raise BarrierViolationError(
-            f"element {tid} quality {q[np.argmax(bad)]:.6g} at or below barrier {params.gamma:.6g}",
+            f"element {tid} quality {q[k]:.6g} at or below barrier {params.gamma:.6g}",
             tet_id=tid,
         )
-    val, g, h = _element_barrier_batch(q, grad, hess, params.gamma)
+    gamma = params.gamma
+    val = q * q / (2.0 * (1.0 - gamma)) - np.log(q - gamma)
+    c1 = q / (1.0 - gamma) - 1.0 / (q - gamma)
+    c2 = 1.0 / (1.0 - gamma) + 1.0 / (q - gamma) ** 2
 
-    # Map each tet's 12 local slots to global DOFs (-1 for fixed slots).
-    order = np.argsort(free)
-    sorted_free = free[order]
-    pos = np.searchsorted(sorted_free, tets)
-    pos[pos >= len(free)] = 0
-    hit = sorted_free[pos] == tets
-    base = 3 * order[pos]
-    slot_dof = np.where(hit[:, :, None], base[:, :, None] + np.arange(3), -1).reshape(-1, 12)
-    live = slot_dof >= 0
-
-    f = np.bincount(slot_dof[live], weights=g[live], minlength=n)
-
-    pair_live = live[:, :, None] & live[:, None, :]
-    rows = np.broadcast_to(slot_dof[:, :, None], h.shape)[pair_live]
-    cols = np.broadcast_to(slot_dof[:, None, :], h.shape)[pair_live]
-    S = np.bincount(rows * n + cols, weights=h[pair_live], minlength=n * n).reshape(n, n)
-
-    return PatchSystem(dof_map=dof_map, S=S, f=f, objective=float(val.sum()), element_qualities=q)
+    f = np.bincount(plan.grad_dof, weights=(c1[:, None] * grad).reshape(-1)[plan.grad_index], minlength=n)
+    blocks = hess.chain(c1, c2).blocks(plan.pairs)
+    S = np.bincount(plan.scatter, weights=blocks.reshape(-1), minlength=n * n).reshape(n, n)
+    return PatchSystem(S=S, f=f, objective=float(val.sum()), plan=plan)

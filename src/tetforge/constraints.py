@@ -177,13 +177,20 @@ def projector(C: np.ndarray, pivot_tol: float = PIVOT_TOL):
 def project_system(S: np.ndarray, f: np.ndarray, frames: np.ndarray, keep: np.ndarray):
     """Reduce S dX = -f to the kept frame columns: ((B^T S B)[k, k], (B^T f)[k]).
 
-    B is block-diagonal with the (nv, 3, 3) frames on its diagonal, so the
-    rotation runs block by block in O(n^2).
+    B is block-diagonal with the (nv, 3, 3) frames on its diagonal, so only
+    the rows and columns of vertices whose frame is not the identity are
+    rotated, block by block, in one copy of S.
     """
     nv = len(frames)
-    S4 = np.einsum("iab,iajc->ibjc", frames, S.reshape(nv, 3, nv, 3), optimize=True)
-    S4 = np.einsum("ibjc,jcd->ibjd", S4, frames, optimize=True)
+    n = 3 * nv
+    rot = np.flatnonzero((frames != np.eye(3)).any(axis=(1, 2)))
+    F = frames[rot]
+    S_b = S.copy()
+    rows = S_b.reshape(nv, 3, n)
+    rows[rot] = np.matmul(F.transpose(0, 2, 1), rows[rot])
+    cols = S_b.reshape(n, nv, 3)
+    cols[:, rot] = np.matmul(cols[:, rot].transpose(1, 0, 2), F).transpose(1, 0, 2)
+    f_b = f.reshape(nv, 3).copy()
+    f_b[rot] = np.einsum("iab,ia->ib", F, f_b[rot])
     k = keep.reshape(-1)
-    S_r = S4.reshape(3 * nv, 3 * nv)[np.ix_(k, k)]
-    f_r = np.einsum("iab,ia->ib", frames, f.reshape(nv, 3)).reshape(-1)[k]
-    return S_r, f_r
+    return S_b[np.ix_(k, k)], f_b.reshape(-1)[k]

@@ -9,6 +9,11 @@ passes spread improvement while later ones bear down on the worst element.
 Volume drift is reported from the divergence-theorem volume of the domain
 boundary, so runs that never move a surface vertex report exactly zero
 drift.
+
+The per-pass figures come from per-tet arrays of quality, dihedral extremes
+and signed volume that are evaluated over the whole mesh once per run and
+afterwards only over the ring elements of each pass's patches, the only
+elements a pass can change.
 """
 
 from __future__ import annotations
@@ -85,6 +90,11 @@ class PassRecord:
     elapsed_s: float
     patches: int
     stalled: int
+    newton_iterations: int
+    shifted_solves: int
+    barrier_rejections: int
+    max_patch_dofs: int
+    stalled_seeds: list  # seed tet ids of the stalled patches, patch by patch
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -218,6 +228,34 @@ def _run_patch(mesh, adjacency, patch, params, config):
     return optimize_patch(mesh, patch, params, constraints=constraints, max_inner=config.max_inner)
 
 
+class _TetMeasures:
+    """Per-tet quality, min and max dihedral angle and signed volume.
+
+    Aggregating these arrays gives the same figures, bit for bit, as
+    evaluating the whole mesh again: each entry depends on its own tet only.
+    """
+
+    def __init__(self, mesh: TetMesh):
+        self.quality = np.empty(mesh.num_tets)
+        self.min_dihedral = np.empty(mesh.num_tets)
+        self.max_dihedral = np.empty(mesh.num_tets)
+        self.volume = np.empty(mesh.num_tets)
+        self.update(mesh, np.arange(mesh.num_tets))
+
+    def update(self, mesh: TetMesh, ids: np.ndarray) -> None:
+        points = mesh.tet_points(ids)
+        self.quality[ids] = quality_batch(points)
+        angles = dihedral_angles_batch(points)
+        finite = np.isfinite(angles)
+        self.min_dihedral[ids] = np.where(finite, angles, np.inf).min(axis=1)
+        self.max_dihedral[ids] = np.where(finite, angles, -np.inf).max(axis=1)
+        self.volume[ids] = tet_volumes(points)
+
+    def dihedral_range(self) -> tuple:
+        lo, hi = self.min_dihedral.min(initial=np.inf), self.max_dihedral.max(initial=-np.inf)
+        return (float(lo), float(hi)) if np.isfinite(lo) else (np.nan, np.nan)
+
+
 def optimize_mesh(mesh: TetMesh, config: RunConfig,
                   adjacency: AdjacencyIndex | None = None,
                   on_pass=None) -> OptimizationReport:
@@ -235,32 +273,38 @@ def optimize_mesh(mesh: TetMesh, config: RunConfig,
     report.initial_metrics = global_metrics(mesh, adjacency)
     report.min_quality_seen = report.initial_metrics.q_min
     boundary_volume_0 = surface_enclosed_volume(mesh.vertices, adjacency.boundary_faces)
+    measures = _TetMeasures(mesh)
 
     for b in config.b_schedule:
         for pass_index in range(config.max_passes):
             t_pass = time.perf_counter()
-            qualities = quality_batch(mesh.tet_points())
-            q_min_before = float(np.nanmin(qualities))
+            q_min_before = float(np.nanmin(measures.quality))
             gamma = compute_gamma(q_min_before, b)
             params = BarrierParams(b=b, q_min=q_min_before, gamma=gamma)
             patches = select_patches(
                 mesh, adjacency, config.target_quality,
                 mode=config.mode, surface_motion=config.surface_motion,
-                qualities=qualities,
+                qualities=measures.quality,
             )
             if not patches:
                 break
-            stalled = 0
+            counts = dict(stalled=0, newton_iterations=0, shifted_solves=0, barrier_rejections=0)
+            stalled_seeds = []
+            touched = np.zeros(mesh.num_tets, dtype=bool)
             for patch in patches:
                 solve = _run_patch(mesh, adjacency, patch, params, config)
-                stalled += int(solve.stalled)
+                touched[patch.ring_tets] = True  # after any demotion: the final ring bounds what moved
+                counts["newton_iterations"] += solve.iterations
+                counts["shifted_solves"] += solve.shifted_solves
+                counts["barrier_rejections"] += solve.barrier_violations
+                if solve.stalled:
+                    counts["stalled"] += 1
+                    stalled_seeds.extend(int(t) for t in patch.seed_tets)
                 report.min_quality_seen = min(report.min_quality_seen, solve.min_quality)
 
-            q_after = quality_batch(mesh.tet_points())
-            q_min_after = float(np.nanmin(q_after))
-            angles = dihedral_angles_batch(mesh.tet_points())
-            finite = angles[np.isfinite(angles)]
-            volume_now = float(tet_volumes(mesh.tet_points()).sum())
+            measures.update(mesh, np.flatnonzero(touched))
+            q_min_after = float(np.nanmin(measures.quality))
+            min_dihedral, max_dihedral = measures.dihedral_range()
             boundary_now = surface_enclosed_volume(mesh.vertices, adjacency.boundary_faces)
             drift = abs(boundary_now - boundary_volume_0) / abs(boundary_volume_0) * 100.0 \
                 if boundary_volume_0 else 0.0
@@ -270,13 +314,15 @@ def optimize_mesh(mesh: TetMesh, config: RunConfig,
                 gamma=gamma,
                 q_min_before=q_min_before,
                 q_min=q_min_after,
-                min_dihedral_deg=float(finite.min()) if finite.size else np.nan,
-                max_dihedral_deg=float(finite.max()) if finite.size else np.nan,
-                volume=volume_now,
+                min_dihedral_deg=min_dihedral,
+                max_dihedral_deg=max_dihedral,
+                volume=float(measures.volume.sum()),
                 drift_percent=drift,
                 elapsed_s=time.perf_counter() - t_pass,
                 patches=len(patches),
-                stalled=stalled,
+                max_patch_dofs=max(3 * len(p.free_vertices) for p in patches),
+                stalled_seeds=stalled_seeds,
+                **counts,
             )
             report.passes.append(record)
             report.min_quality_seen = min(report.min_quality_seen, q_min_after)
@@ -284,7 +330,7 @@ def optimize_mesh(mesh: TetMesh, config: RunConfig,
                 on_pass(record)
             logger.info(
                 "pass %d (b=%.2f): q_min %.4f -> %.4f, %d patches, %d stalled, %.3fs",
-                pass_index, b, q_min_before, q_min_after, len(patches), stalled,
+                pass_index, b, q_min_before, q_min_after, len(patches), record.stalled,
                 record.elapsed_s,
             )
             if q_min_after - q_min_before < config.convergence_tol:

@@ -6,10 +6,21 @@ a regular tet, 0 for a degenerate one and negative for an inverted one, and
 is smooth in the vertex positions wherever at least one edge has nonzero
 length.
 
-Derivatives are exact closed forms assembled from the volume (a trilinear
-polynomial) and the edge-length sum of squares (a quadratic), written in
+Derivatives are exact closed forms built from the volume (a trilinear
+polynomial) and the edge-length sum of squares S (a quadratic), written in
 batch form over (m, 4, 3) point arrays.  The 12 derivative slots are the
-x,y,z coordinates of p0..p3 in order.
+x,y,z coordinates of p0..p3 in order.  With q = c V S^(-3/2),
+
+    grad q = A grad V + B grad S,
+    Hess q = A H_V + B H_S + [grad V  grad S] N [grad V  grad S]^T,
+
+where A = c S^(-3/2) and B = -3/2 c V S^(-5/2) are per-element scalars and
+N is a symmetric 2x2 per element.  H_V's diagonal 3x3 blocks vanish and its
+block (i, j) is the cross-product matrix of the edge p_k - p_l over 6, for
+(i, j, k, l) an even permutation of (0, 1, 2, 3); H_S is the constant
+2 (4 I - 1) (x) I_3.  `HessianFactors` keeps this form (w = (A, B), n = N),
+so a caller can build only the 3x3 blocks it needs; `expand` gives the full
+12x12 matrix, the one formula the finite-difference tests pin.
 """
 
 from __future__ import annotations
@@ -25,8 +36,18 @@ from tetforge.mesh import _cross_rows as _cross
 # 6*sqrt(2) * V / (S/6)^(3/2) = 6^(5/2)*sqrt(2) * V * S^(-3/2).
 QCOEF = 72.0 * np.sqrt(3.0)
 
-# d2S/dx2 is constant: each vertex pairs with the other three.
-_HESS_S = 2.0 * np.kron(4.0 * np.eye(4) - np.ones((4, 4)), np.eye(3))
+# H_V block (i, j) is skew(p[_EDGE_HEAD[i, j]] - p[_EDGE_TAIL[i, j]]) / 6;
+# the diagonal entries pick p0 - p0, the vanishing diagonal blocks.
+_EDGE_HEAD = np.array([[0, 2, 3, 1], [3, 0, 0, 2], [1, 3, 0, 0], [2, 0, 1, 0]])
+_EDGE_TAIL = np.array([[0, 3, 1, 2], [2, 0, 3, 0], [3, 0, 0, 1], [1, 2, 0, 0]])
+
+# H_S block (i, j) is this scalar times I_3: each vertex pairs with the other three.
+_HESS_S_BLOCK = 2.0 * (4.0 * np.eye(4) - 1.0)
+
+# The block skew(e) / 6 + h I_3, flattened row-major, is
+# _BLOCK_SIGN * z[_BLOCK_TAKE] for z = (e0, e1, e2, h).
+_BLOCK_TAKE = np.array([3, 2, 1, 2, 3, 0, 1, 0, 3])
+_BLOCK_SIGN = np.array([1.0, -1 / 6, 1 / 6, 1 / 6, 1.0, -1 / 6, -1 / 6, 1 / 6, 1.0])
 
 
 @dataclass
@@ -38,68 +59,97 @@ class QualityDiff:
     hess: np.ndarray
 
 
-def _skew(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrices for (m, 3) vectors, shaped (m, 3, 3)."""
-    m = v.shape[0]
-    out = np.zeros((m, 3, 3))
-    out[:, 0, 1] = -v[:, 2]
-    out[:, 0, 2] = v[:, 1]
-    out[:, 1, 0] = v[:, 2]
-    out[:, 1, 2] = -v[:, 0]
-    out[:, 2, 0] = -v[:, 1]
-    out[:, 2, 1] = v[:, 0]
-    return out
+@dataclass(frozen=True)
+class SlotPairs:
+    """Selected 3x3 blocks (element e, slot i, slot j) as flat gather indices.
 
-
-def _volume_parts(points: np.ndarray):
-    u = points[:, 1] - points[:, 0]
-    v = points[:, 2] - points[:, 0]
-    w = points[:, 3] - points[:, 0]
-    vxw = _cross(v, w)
-    vol = np.einsum("ij,ij->i", u, vxw) / 6.0
-    grad = np.empty((points.shape[0], 4, 3))
-    grad[:, 1] = vxw / 6.0
-    grad[:, 2] = _cross(w, u) / 6.0
-    grad[:, 3] = _cross(u, v) / 6.0
-    grad[:, 0] = -(grad[:, 1] + grad[:, 2] + grad[:, 3])
-    return vol, grad.reshape(-1, 12), (u, v, w)
-
-
-def _volume_hessian(uvw) -> np.ndarray:
-    """Hessian of the signed volume, (m, 12, 12).
-
-    V is linear in each vertex, so diagonal blocks vanish and cross blocks
-    are scaled cross-product matrices of the opposite edge vectors; the p0
-    blocks are the signed sums forced by u,v,w = p1-p0, p2-p0, p3-p0.
+    row, col : e*4 + i and e*4 + j, rows of per-slot arrays shaped (m*4, ...)
+    edge_head, edge_tail : e*4 + k and e*4 + l, the edge of H_V's block
+    elem : e
+    hess_s : H_S's block scale for (i, j)
     """
-    u, v, w = uvw
-    m = u.shape[0]
-    su, sv, sw = _skew(u) / 6.0, _skew(v) / 6.0, _skew(w) / 6.0
-    hess = np.zeros((m, 12, 12))
 
-    def put(a, b, blk):
-        hess[:, 3 * a:3 * a + 3, 3 * b:3 * b + 3] = blk
-
-    put(1, 2, -sw)
-    put(2, 1, sw)
-    put(1, 3, sv)
-    put(3, 1, -sv)
-    put(2, 3, -su)
-    put(3, 2, su)
-    put(0, 1, sv - sw)
-    put(1, 0, sw - sv)
-    put(0, 2, sw - su)
-    put(2, 0, su - sw)
-    put(0, 3, su - sv)
-    put(3, 0, sv - su)
-    return hess
+    row: np.ndarray
+    col: np.ndarray
+    edge_head: np.ndarray
+    edge_tail: np.ndarray
+    elem: np.ndarray
+    hess_s: np.ndarray
 
 
-def _edge_sq_parts(points: np.ndarray):
-    diffs = points[:, :, None, :] - points[:, None, :, :]
-    ssum = 0.5 * np.einsum("mabk,mabk->m", diffs, diffs)  # each edge counted twice
-    grad = 2.0 * (4.0 * points - points.sum(axis=1, keepdims=True))
-    return ssum, grad.reshape(-1, 12)
+def slot_pairs(elem: np.ndarray, i: np.ndarray, j: np.ndarray) -> SlotPairs:
+    """Index the blocks (elem[p], i[p], j[p]) for `HessianFactors.blocks`."""
+    base = 4 * elem
+    return SlotPairs(row=base + i, col=base + j,
+                     edge_head=base + _EDGE_HEAD[i, j], edge_tail=base + _EDGE_TAIL[i, j],
+                     elem=elem, hess_s=_HESS_S_BLOCK[i, j])
+
+
+@dataclass
+class HessianFactors:
+    """Per-element Hessians w0 H_V + w1 H_S + G n G^T, G = [grad V  grad S].
+
+    points : (m, 4, 3) element vertices, from which H_V's blocks are built
+    grads : (m, 4, 2, 3) per vertex slot i, G_i^T: the slot's part of
+        grad V and of grad S
+    w : (m, 2) scales of H_V and H_S
+    n : (m, 2, 2) symmetric
+    """
+
+    points: np.ndarray
+    grads: np.ndarray
+    w: np.ndarray
+    n: np.ndarray
+
+    def chain(self, c1: np.ndarray, c2: np.ndarray) -> "HessianFactors":
+        """Factors of the Hessian of f(q) with f'(q) = c1, f''(q) = c2 per element.
+
+        That Hessian is c2 grad q grad q^T + c1 Hess q.  Valid for the
+        factors of q itself, whose w is also its gradient coefficients
+        (grad q = G w), so grad q grad q^T = G w w^T G^T.
+        """
+        w = self.w
+        n = c2[:, None, None] * (w[:, :, None] * w[:, None, :]) + c1[:, None, None] * self.n
+        return HessianFactors(points=self.points, grads=self.grads, w=c1[:, None] * w, n=n)
+
+    def blocks(self, pairs: SlotPairs) -> np.ndarray:
+        """The selected 3x3 blocks, shaped (len(pairs.row), 3, 3)."""
+        # G_i n G_j^T = (n G_i^T)^T G_j^T, n being symmetric
+        left = np.matmul(self.n[:, None], self.grads).reshape(-1, 2, 3)[pairs.row]
+        out = np.matmul(left.transpose(0, 2, 1), self.grads.reshape(-1, 2, 3)[pairs.col])
+        p = self.points.reshape(-1, 3)
+        z = np.empty((len(pairs.row), 4))
+        z[:, :3] = p[pairs.edge_head] - p[pairs.edge_tail]
+        z[:, :3] *= self.w[pairs.elem, :1]
+        z[:, 3] = self.w[pairs.elem, 1] * pairs.hess_s
+        flat = out.reshape(-1, 9)
+        flat += z[:, _BLOCK_TAKE] * _BLOCK_SIGN
+        return out
+
+    def expand(self) -> np.ndarray:
+        """The full symmetric Hessians, (m, 12, 12)."""
+        m = len(self.w)
+        elem = np.repeat(np.arange(m), 16)
+        i = np.tile(np.repeat(np.arange(4), 4), m)
+        j = np.tile(np.arange(4), 4 * m)
+        blk = self.blocks(slot_pairs(elem, i, j)).reshape(m, 4, 4, 3, 3)
+        return blk.transpose(0, 1, 3, 2, 4).reshape(m, 12, 12)
+
+
+def _edge_vectors(points: np.ndarray):
+    return points[:, 1] - points[:, 0], points[:, 2] - points[:, 0], points[:, 3] - points[:, 0]
+
+
+def _edge_sq_sum(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sum of the six squared edge lengths from the three edges at p0."""
+    uv = v - u
+    uw = w - u
+    vw = w - v
+    return (
+        np.einsum("ij,ij->i", u, u) + np.einsum("ij,ij->i", v, v)
+        + np.einsum("ij,ij->i", w, w) + np.einsum("ij,ij->i", uv, uv)
+        + np.einsum("ij,ij->i", uw, uw) + np.einsum("ij,ij->i", vw, vw)
+    )
 
 
 def quality_batch(points: np.ndarray) -> np.ndarray:
@@ -108,40 +158,46 @@ def quality_batch(points: np.ndarray) -> np.ndarray:
     Rows with all vertices coincident produce NaN.
     """
     points = np.asarray(points, dtype=np.float64)
-    u = points[:, 1] - points[:, 0]
-    v = points[:, 2] - points[:, 0]
-    w = points[:, 3] - points[:, 0]
+    u, v, w = _edge_vectors(points)
     vol = np.einsum("ij,ij->i", u, _cross(v, w)) / 6.0
-    uv = v - u
-    uw = w - u
-    vw = w - v
-    ssum = (
-        np.einsum("ij,ij->i", u, u) + np.einsum("ij,ij->i", v, v)
-        + np.einsum("ij,ij->i", w, w) + np.einsum("ij,ij->i", uv, uv)
-        + np.einsum("ij,ij->i", uw, uw) + np.einsum("ij,ij->i", vw, vw)
-    )
+    ssum = _edge_sq_sum(u, v, w)
     with np.errstate(invalid="ignore", divide="ignore"):
         return QCOEF * vol / np.power(ssum, 1.5)
 
 
 def quality_diff_batch(points: np.ndarray):
-    """Quality, gradient (m, 12) and Hessian (m, 12, 12) per tet."""
+    """Quality (m,), gradient (m, 12) and factored Hessian per tet.
+
+    The Hessian comes back as `HessianFactors`; nothing is built per 3x3
+    block until a caller asks for the blocks it needs.
+    """
     points = np.asarray(points, dtype=np.float64)
-    vol, gv, uvw = _volume_parts(points)
-    ssum, gs = _edge_sq_parts(points)
+    m = len(points)
+    u, v, w = _edge_vectors(points)
+    gv = np.empty((m, 4, 3))
+    gv[:, 1] = _cross(v, w) / 6.0
+    gv[:, 2] = _cross(w, u) / 6.0
+    gv[:, 3] = _cross(u, v) / 6.0
+    gv[:, 0] = -(gv[:, 1] + gv[:, 2] + gv[:, 3])
+    gs = 2.0 * (4.0 * points - points.sum(axis=1, keepdims=True))
+    grads = np.empty((m, 4, 2, 3))
+    grads[:, :, 0] = gv
+    grads[:, :, 1] = gs
+    vol = np.einsum("ij,ij->i", u, gv[:, 1])
+    ssum = _edge_sq_sum(u, v, w)
+    coef = np.empty((m, 2))
+    n = np.empty((m, 2, 2))
     with np.errstate(invalid="ignore", divide="ignore"):
         s32 = np.power(ssum, -1.5)
-        s52 = np.power(ssum, -2.5)
-        s72 = np.power(ssum, -3.5)
-        q = QCOEF * vol * s32
-        grad = QCOEF * (s32[:, None] * gv - 1.5 * (vol * s52)[:, None] * gs)
-        hess = s32[:, None, None] * _volume_hessian(uvw)
-        cross = np.einsum("mi,mj->mij", gv, gs)
-        hess -= 1.5 * s52[:, None, None] * (cross + cross.transpose(0, 2, 1))
-        hess += 3.75 * (vol * s72)[:, None, None] * np.einsum("mi,mj->mij", gs, gs)
-        hess -= 1.5 * (vol * s52)[:, None, None] * _HESS_S[None]
-        hess *= QCOEF
-    return q, grad, hess
+        s52 = s32 / ssum
+        coef[:, 0] = QCOEF * s32
+        coef[:, 1] = -1.5 * QCOEF * vol * s52
+        n[:, 0, 0] = 0.0
+        n[:, 0, 1] = n[:, 1, 0] = -1.5 * QCOEF * s52
+        n[:, 1, 1] = 3.75 * QCOEF * vol * (s52 / ssum)
+        q = coef[:, 0] * vol
+        grad = (coef[:, 0, None, None] * gv + coef[:, 1, None, None] * gs).reshape(m, 12)
+    return q, grad, HessianFactors(points=points, grads=grads, w=coef, n=n)
 
 
 def volume_length_quality(p0, p1, p2, p3) -> float:
@@ -159,4 +215,4 @@ def volume_length_diff(p0, p1, p2, p3) -> QualityDiff:
     q, grad, hess = quality_diff_batch(points)
     if not np.isfinite(q[0]):
         raise DegenerateTetError("quality undefined: all vertices coincident")
-    return QualityDiff(q=float(q[0]), grad=grad[0], hess=hess[0])
+    return QualityDiff(q=float(q[0]), grad=grad[0], hess=hess.expand()[0])

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from tetforge.barrier import BarrierParams, PatchSystem, assemble_patch_system, barrier_values_batch
+from tetforge.barrier import BarrierParams, PatchSystem, assemble_patch_system, barrier_values_batch, plan_patch
 from tetforge.constraints import ConstraintSystem, project_system
 from tetforge.errors import NoProgressError
 from tetforge.quality import quality_batch
@@ -41,6 +41,7 @@ class SolveReport:
     objective: float = np.nan
     step_norms: list = field(default_factory=list)
     shifts: list = field(default_factory=list)
+    shifted_solves: int = 0  # Newton directions that needed tau > 0, accepted or not
     objective_history: list = field(default_factory=list)
     barrier_violations: int = 0
     stalled: bool = False
@@ -53,16 +54,23 @@ def newton_direction(S: np.ndarray, f: np.ndarray):
     tau is 0 when S is positive definite, otherwise the smallest power of
     ten times max|diag(S)| that lets the Cholesky factorization succeed and
     produces a descent direction.  Raises NoProgressError beyond 1e4 times
-    the diagonal scale.
+    the diagonal scale.  A shifted try factors a Fortran-ordered copy of S
+    in place, tau added to its diagonal.
     """
     n = len(f)
     if n == 0:
         return np.zeros(0), 0.0
     scale = float(np.abs(np.diag(S)).max()) or 1.0
     shifts = [0.0] + [10.0 ** k * scale for k in range(-12, MAX_SHIFT_EXP + 1)]
+    diag = np.diag_indices(n)
     for tau in shifts:
         try:
-            cho = scipy.linalg.cho_factor(S + tau * np.eye(n) if tau else S, check_finite=False)
+            if tau:
+                shifted = np.array(S, order="F")
+                shifted[diag] += tau
+                cho = scipy.linalg.cho_factor(shifted, overwrite_a=True, check_finite=False)
+            else:
+                cho = scipy.linalg.cho_factor(S, check_finite=False)
         except scipy.linalg.LinAlgError:
             continue
         dx = scipy.linalg.cho_solve(cho, -f, check_finite=False)
@@ -78,19 +86,20 @@ def line_search(mesh, patch, system: PatchSystem, direction: np.ndarray,
     """Backtracking step along `direction`; moves the mesh on acceptance.
 
     Halves alpha from 1 until every ring element stays strictly above gamma
-    and the patch objective satisfies the Armijo decrease.  Returns
+    and the patch objective satisfies the Armijo decrease; the free vertices
+    and ring elements are those of system.plan.  Returns
     (alpha, violations, new_objective, min_ring_quality); alpha == 0.0 means
     the step was rejected below 2^-20 and the mesh is untouched.
     """
-    free = np.asarray(patch.free_vertices, dtype=np.int64)
+    free = system.plan.free
+    ring_tets = system.plan.tets
     step = direction.reshape(-1, 3)
     if len(free) == 0 or float(np.linalg.norm(direction)) == 0.0:
-        q = quality_batch(mesh.tet_points(patch.ring_tets))
+        q = quality_batch(mesh.vertices[ring_tets])
         return 1.0, 0, system.objective, float(q.min()) if len(q) else np.inf
 
     base = mesh.vertices[free].copy()
     slope = float(system.f @ direction)
-    ring_tets = mesh.tets[np.asarray(patch.ring_tets, dtype=np.int64)]
     violations = 0
     alpha = 1.0
     while alpha >= MIN_ALPHA:
@@ -115,12 +124,14 @@ def optimize_patch(mesh, patch, params: BarrierParams,
 
     Constraint frames, when given, are frozen for the whole solve and each
     Newton system is reduced to their tangent columns; the mesh coordinates
-    of the patch's free vertices are updated in place.  A patch that cannot
+    of the patch's free vertices are updated in place.  The assembly plan
+    is built once here and shared by every iteration.  A patch that cannot
     make progress is reported as stalled, not raised.
     """
     report = SolveReport()
+    plan = plan_patch(mesh, patch)
     for _ in range(max_inner):
-        system = assemble_patch_system(mesh, patch, params)
+        system = assemble_patch_system(mesh, patch, params, plan)
         report.objective = system.objective
         if system.ndof == 0:
             break
@@ -135,6 +146,7 @@ def optimize_patch(mesh, patch, params: BarrierParams,
         except NoProgressError:
             report.stalled = True
             break
+        report.shifted_solves += int(tau != 0.0)
         if constraints is not None:
             dx = constraints.lift(dx)
         alpha, violations, obj, min_q = line_search(mesh, patch, system, dx, params)

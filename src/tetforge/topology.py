@@ -70,12 +70,18 @@ def extract_boundary_faces(mesh: TetMesh) -> np.ndarray:
         return np.zeros((0, 3), dtype=np.int64)
     faces = mesh.tets[:, TET_FACES].reshape(-1, 3)
     keys = np.sort(faces, axis=1)
-    uniq, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    # Sorting the faces lexicographically by their sorted vertex ids puts
+    # copies of one face next to each other.
+    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
+    ordered = keys[order]
+    starts = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
+    counts = np.diff(np.r_[starts, len(order)])
     if counts.max(initial=0) > 2:
         bad = np.argmax(counts)
-        raise MeshStructureError(f"non-manifold face {tuple(uniq[bad])} shared by {counts[bad]} tets")
-    single = counts[inverse] == 1
-    return faces[single].copy()
+        raise MeshStructureError(f"non-manifold face {tuple(ordered[starts[bad]])} shared by {counts[bad]} tets")
+    single = np.zeros(len(faces), dtype=bool)
+    single[order[starts[counts == 1]]] = True
+    return faces[single]
 
 
 def _cluster_normals(normals: np.ndarray, tri_ids: np.ndarray, cos_threshold: float):

@@ -15,7 +15,8 @@ from tetforge.barrier import (
 from tetforge.driver import Patch, select_patches
 from tetforge.errors import BarrierViolationError
 from tetforge.fixtures import generate_test_mesh
-from tetforge.quality import volume_length_diff
+from tetforge.mesh import VertexClass
+from tetforge.quality import quality_batch, volume_length_diff
 from tetforge.topology import build_topology
 
 from conftest import fd_gradient, fd_hessian, random_tet
@@ -142,7 +143,6 @@ def test_all_fixed_patch_is_empty():
 def test_one_free_vertex_system_is_sum_of_blocks():
     mesh = generate_test_mesh("grid", 2, seed=9, jitter=0.25)
     adjacency = build_topology(mesh)
-    from tetforge.mesh import VertexClass
     center = int(np.flatnonzero(mesh.vertex_class == VertexClass.INTERIOR)[0])
     star = adjacency.vertex_tets[center]
     patch = Patch(seed_tets=star, free_vertices=np.array([center]), ring_tets=star)
@@ -203,6 +203,70 @@ def test_system_symmetric():
     system = assemble_patch_system(mesh, patch, params)
     scale = max(1.0, np.abs(system.S).max())
     assert np.abs(system.S - system.S.T).max() <= 1e-12 * scale
+
+
+# Free-slot assembly against the dense sum of every ring element's full
+# 12x12 barrier Hessian, on coordinates away from the origin.
+SHIFT = np.array([0.7, -0.4, 0.9])
+
+
+def _dense_patch_system(mesh, patch, gamma):
+    slot = {int(v): i for i, v in enumerate(patch.free_vertices)}
+    n = 3 * len(slot)
+    S, f = np.zeros((n, n)), np.zeros(n)
+    for t in patch.ring_tets:
+        tet = mesh.tets[t]
+        grad, hess = barrier_grad_hess(volume_length_diff(*mesh.vertices[tet]), gamma)
+        for a, va in enumerate(tet):
+            if int(va) not in slot:
+                continue
+            ra = 3 * slot[int(va)]
+            f[ra:ra + 3] += grad[3 * a:3 * a + 3]
+            for b, vb in enumerate(tet):
+                if int(vb) in slot:
+                    rb = 3 * slot[int(vb)]
+                    S[ra:ra + 3, rb:rb + 3] += hess[3 * a:3 * a + 3, 3 * b:3 * b + 3]
+    return S, f
+
+
+def _one_tet_patches():
+    mesh = generate_test_mesh("grid", 3, seed=5, jitter=0.25)
+    mesh.vertices += SHIFT
+    adjacency = build_topology(mesh)
+    patches = select_patches(mesh, adjacency, 0.3, mode="all-patches", surface_motion=False)
+    by_size = {len(p.free_vertices): p for p in patches}
+    assert set(by_size) >= {1, 2, 3}
+    return mesh, list(by_size.values())
+
+
+def _merged_patch():
+    mesh = generate_test_mesh("grid", 3, seed=3, jitter=0.3)
+    mesh.vertices += SHIFT
+    adjacency = build_topology(mesh)
+    patch = max(select_patches(mesh, adjacency, 0.5), key=lambda p: len(p.seed_tets))
+    assert len(patch.seed_tets) > 1
+    return mesh, [patch]
+
+
+def _sphere_patch():
+    mesh = generate_test_mesh("sphere", 4, seed=6, jitter=0.1)
+    mesh.vertices += SHIFT
+    adjacency = build_topology(mesh)
+    patch = max(select_patches(mesh, adjacency, 0.3), key=lambda p: len(p.free_vertices))
+    assert (mesh.vertex_class[patch.free_vertices] == VertexClass.SURFACE_SMOOTH).any()
+    return mesh, [patch]
+
+
+@pytest.mark.parametrize("make_patches", [_one_tet_patches, _merged_patch, _sphere_patch],
+                         ids=["one-tet", "merged", "sphere"])
+def test_free_slot_assembly_matches_dense_sum(make_patches):
+    mesh, patches = make_patches()
+    params = BarrierParams.from_quality(float(quality_batch(mesh.tet_points()).min()), 0.8)
+    for patch in patches:
+        system = assemble_patch_system(mesh, patch, params)
+        S, f = _dense_patch_system(mesh, patch, params.gamma)
+        assert np.linalg.norm(system.S - S) <= 1e-12 * np.linalg.norm(S)
+        assert np.linalg.norm(system.f - f) <= 1e-12 * np.linalg.norm(f)
 
 
 def test_barrier_params_validation():

@@ -228,6 +228,35 @@ def test_solved_step_is_tangential():
                 assert abs(n @ dx[i]) <= 1e-10 * max(1.0, np.linalg.norm(dx))
 
 
+def test_projection_of_mixed_frames_matches_full_rotation():
+    # interior (identity), smooth and crease frames side by side: only the
+    # non-identity blocks are rotated, and the result is still (B^T S B)[k, k]
+    rng = np.random.default_rng(12)
+    kinds = [0, 1, 0, 2, 1, 0, 0, 2, 1, 0]  # normals per vertex
+    nv = len(kinds)
+    frames = np.tile(np.eye(3), (nv, 1, 1))
+    keep = np.ones((nv, 3), dtype=bool)
+    for i, count in enumerate(kinds):
+        if count:
+            normals = rng.normal(size=(count, 3))
+            frames[i], keep[i] = tangent_frame(normals / np.linalg.norm(normals, axis=1)[:, None])
+    A = rng.normal(size=(3 * nv, 3 * nv))
+    S = A @ A.T
+    f = rng.normal(size=3 * nv)
+    S_in, f_in = S.copy(), f.copy()
+    B = np.zeros((3 * nv, 3 * nv))
+    for i in range(nv):
+        B[3 * i:3 * i + 3, 3 * i:3 * i + 3] = frames[i]
+    k = keep.reshape(-1)
+
+    S_r, f_r = project_system(S, f, frames, keep)
+    expected_S = (B.T @ S @ B)[np.ix_(k, k)]
+    expected_f = (B.T @ f)[k]
+    assert np.abs(S_r - expected_S).max() <= 1e-13 * np.abs(expected_S).max()
+    assert np.abs(f_r - expected_f).max() <= 1e-13 * np.abs(expected_f).max()
+    assert np.array_equal(S, S_in) and np.array_equal(f, f_in)
+
+
 def test_first_order_volume_preservation_single_vertex():
     # a smooth surface vertex's admissible motion is orthogonal to its
     # area-weighted normal, so the first-order enclosed-volume change

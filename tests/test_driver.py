@@ -256,3 +256,46 @@ def test_report_serializable():
     parsed = json.loads(blob)
     assert parsed["final"]["q_min"] >= parsed["initial"]["q_min"]
     assert len(parsed["passes"]) == len(report.passes)
+
+
+@pytest.mark.parametrize("kind", ["sphere", "grid"])
+def test_pass_metrics_equal_whole_mesh_recompute(kind):
+    # the driver re-measures only the ring elements of each pass; a whole
+    # mesh recompute after every pass must give the same figures bit for bit
+    if kind == "sphere":
+        mesh, config = generate_test_mesh("sphere", 4, seed=6, jitter=0.1), RunConfig()
+    else:
+        mesh, config = generate_test_mesh("with-slivers", 4, seed=9, k=3, jitter=0.1), RunConfig(target_quality=0.5)
+    checked = []
+
+    def on_pass(record):
+        points = mesh.tet_points()
+        angles = dihedral_angles_batch(points)
+        finite = angles[np.isfinite(angles)]
+        assert record.q_min == float(np.nanmin(quality_batch(points)))
+        assert record.min_dihedral_deg == float(finite.min())
+        assert record.max_dihedral_deg == float(finite.max())
+        assert record.volume == float(tet_volumes(points).sum())
+        checked.append(record.patches)
+
+    report = optimize_mesh(mesh, config, on_pass=on_pass)
+    assert len(checked) == len(report.passes) >= 2
+
+
+def test_pass_counters_deterministic_and_nonzero():
+    import json
+
+    fields = ("newton_iterations", "shifted_solves", "barrier_rejections", "max_patch_dofs", "stalled_seeds")
+    runs = []
+    for _ in range(2):
+        mesh = generate_test_mesh("with-slivers", 3, seed=1, k=1, jitter=0.05)
+        # one-tet patches sweeping near convergence: some fail Armijo and stall
+        report = optimize_mesh(mesh, RunConfig(mode="all-patches", max_passes=3))
+        runs.append([[getattr(record, name) for name in fields] for record in report.passes])
+    assert runs[0] == runs[1]
+    for name, values in zip(fields, zip(*runs[0])):
+        assert any(values), name
+    parsed = json.loads(json.dumps(report.to_dict()))
+    assert [[p[name] for name in fields] for p in parsed["passes"]] == runs[0]
+    for record in report.passes:
+        assert (record.stalled == 0) == (record.stalled_seeds == [])
