@@ -11,9 +11,9 @@ boundary, so runs that never move a surface vertex report exactly zero
 drift.
 
 The per-pass figures come from per-tet arrays of quality, dihedral extremes
-and signed volume that are evaluated over the whole mesh once per run and
-afterwards only over the ring elements of each pass's patches, the only
-elements a pass can change.
+and signed volume that are evaluated over the whole mesh once per run (the
+same evaluation gives the initial metrics) and afterwards only over the
+ring elements of each pass's patches, the only elements a pass can change.
 """
 
 from __future__ import annotations
@@ -235,21 +235,22 @@ class _TetMeasures:
     evaluating the whole mesh again: each entry depends on its own tet only.
     """
 
-    def __init__(self, mesh: TetMesh):
-        self.quality = np.empty(mesh.num_tets)
-        self.min_dihedral = np.empty(mesh.num_tets)
-        self.max_dihedral = np.empty(mesh.num_tets)
-        self.volume = np.empty(mesh.num_tets)
-        self.update(mesh, np.arange(mesh.num_tets))
+    def __init__(self, num_tets: int):
+        self.quality = np.empty(num_tets)
+        self.min_dihedral = np.empty(num_tets)
+        self.max_dihedral = np.empty(num_tets)
+        self.volume = np.empty(num_tets)
 
-    def update(self, mesh: TetMesh, ids: np.ndarray) -> None:
+    def update(self, mesh: TetMesh, ids: np.ndarray) -> tuple:
+        """Re-evaluate tets `ids`; returns their (volumes, qualities, dihedral angles)."""
         points = mesh.tet_points(ids)
-        self.quality[ids] = quality_batch(points)
-        angles = dihedral_angles_batch(points)
+        volume, quality, angles = tet_volumes(points), quality_batch(points), dihedral_angles_batch(points)
         finite = np.isfinite(angles)
+        self.quality[ids] = quality
         self.min_dihedral[ids] = np.where(finite, angles, np.inf).min(axis=1)
         self.max_dihedral[ids] = np.where(finite, angles, -np.inf).max(axis=1)
-        self.volume[ids] = tet_volumes(points)
+        self.volume[ids] = volume
+        return volume, quality, angles
 
     def dihedral_range(self) -> tuple:
         lo, hi = self.min_dihedral.min(initial=np.inf), self.max_dihedral.max(initial=-np.inf)
@@ -270,10 +271,10 @@ def optimize_mesh(mesh: TetMesh, config: RunConfig,
     if adjacency is None:
         adjacency = build_topology(mesh, config.feature_angle_deg)
     report = OptimizationReport()
-    report.initial_metrics = global_metrics(mesh, adjacency)
+    measures = _TetMeasures(mesh.num_tets)
+    report.initial_metrics = global_metrics(mesh, adjacency, measures.update(mesh, np.arange(mesh.num_tets)))
     report.min_quality_seen = report.initial_metrics.q_min
     boundary_volume_0 = surface_enclosed_volume(mesh.vertices, adjacency.boundary_faces)
-    measures = _TetMeasures(mesh)
 
     for b in config.b_schedule:
         for pass_index in range(config.max_passes):

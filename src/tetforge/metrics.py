@@ -43,12 +43,19 @@ def dihedral_histogram(angles: np.ndarray) -> list:
     return np.bincount(idx, minlength=HISTOGRAM_BINS).tolist()
 
 
-def global_metrics(mesh: TetMesh, adjacency: AdjacencyIndex) -> GlobalMetrics:
-    """Aggregate metrics over all elements; requires built topology."""
-    volumes = tet_volumes(mesh.tet_points())
-    qualities = quality_batch(mesh.tet_points())
+def global_metrics(mesh: TetMesh, adjacency: AdjacencyIndex,
+                   tet_arrays: tuple | None = None) -> GlobalMetrics:
+    """Aggregate metrics over all elements; requires built topology.
+
+    tet_arrays, when given, is (volumes, qualities, dihedral angles) of every
+    tet at the current coordinates, as tet_volumes, quality_batch and
+    dihedral_angles_batch return them; the mesh is then not evaluated again.
+    """
+    if tet_arrays is None:
+        points = mesh.tet_points()
+        tet_arrays = tet_volumes(points), quality_batch(points), dihedral_angles_batch(points)
+    volumes, qualities, angles = tet_arrays
     worst = int(np.nanargmin(qualities)) if len(qualities) else -1
-    angles = dihedral_angles_batch(mesh.tet_points())
     area = float(np.linalg.norm(triangle_area_normals(mesh.vertices, mesh.surface_tris), axis=1).sum()) \
         if len(mesh.surface_tris) else 0.0
     finite = angles[np.isfinite(angles)]

@@ -1,9 +1,11 @@
 """Damped Newton solve of a patch system with a barrier-safe line search.
 
 The search direction comes from a Cholesky solve of (S + tau I) dX = -f,
-where tau is raised through powers of ten times the largest diagonal entry
-until the factorization succeeds (quality is non-convex, so raw Newton can
-point uphill).  The backtracking line search then accepts the first step
+where tau is the smallest rung of a ladder of powers of ten times the
+largest diagonal entry at which the factorization succeeds and gives a
+descent step (quality is non-convex, so raw Newton can point uphill); the
+rung is found by bisection, a few factorizations instead of one per rung.
+The backtracking line search then accepts the first step
 that keeps every ring element strictly above the barrier and achieves an
 Armijo decrease of the patch objective; because no accepted step may cross
 the barrier, a mesh that starts valid can never acquire an inverted element
@@ -48,36 +50,79 @@ class SolveReport:
     min_quality: float = np.inf  # worst ring quality seen right after accepted steps
 
 
+def _factor_shifted(S: np.ndarray, tau: float, out: np.ndarray):
+    """Cholesky factor of S + tau I computed in place in the Fortran-ordered `out`.
+
+    Returns None when S + tau I is not numerically positive definite.
+    """
+    np.copyto(out, S)
+    out[np.diag_indices(len(out))] += tau
+    try:
+        return scipy.linalg.cho_factor(out, overwrite_a=True, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        return None
+
+
+def _descent_step(cho, f: np.ndarray):
+    """The step solving the factored system for -f, or None if it is not finite or not downhill."""
+    dx = scipy.linalg.cho_solve(cho, -f, check_finite=False)
+    return dx if np.all(np.isfinite(dx)) and float(f @ dx) <= 0.0 else None
+
+
 def newton_direction(S: np.ndarray, f: np.ndarray):
     """Solve (S + tau I) dX = -f with the smallest workable shift tau.
 
-    tau is 0 when S is positive definite, otherwise the smallest power of
-    ten times max|diag(S)| that lets the Cholesky factorization succeed and
-    produces a descent direction.  Raises NoProgressError beyond 1e4 times
-    the diagonal scale.  A shifted try factors a Fortran-ordered copy of S
-    in place, tau added to its diagonal.
+    tau is the first entry of the ladder 0, 1e-12 s, 1e-11 s, ..., 1e4 s
+    (s = max|diag S|) whose Cholesky factorization succeeds and whose step
+    is finite and downhill; NoProgressError is raised when none is.  Returns
+    (dX, tau), the pair a walk up the ladder one entry at a time would give.
+
+    S is factored unshifted first.  If that fails, the first shifted entry
+    that factors is found by bisection, which assumes that once S + tau I
+    factors so does every larger shift (true in exact arithmetic, as the
+    shift raises every eigenvalue).  The factor of the lowest success is
+    kept, so no entry is factored twice.  If its step fails the finiteness
+    or descent check, the entries above it are tried one by one.  Shifted
+    tries factor in place in at most two Fortran-ordered n x n work arrays,
+    allocated only after the unshifted factorization has failed.
     """
     n = len(f)
     if n == 0:
         return np.zeros(0), 0.0
     scale = float(np.abs(np.diag(S)).max()) or 1.0
     shifts = [0.0] + [10.0 ** k * scale for k in range(-12, MAX_SHIFT_EXP + 1)]
-    diag = np.diag_indices(n)
-    for tau in shifts:
-        try:
-            if tau:
-                shifted = np.array(S, order="F")
-                shifted[diag] += tau
-                cho = scipy.linalg.cho_factor(shifted, overwrite_a=True, check_finite=False)
+    try:
+        cho = scipy.linalg.cho_factor(S, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        cho = None
+    found = 0  # ladder index of cho
+    best = work = None  # work arrays: the one holding cho, and the one for the next try
+    if cho is None:
+        lo, hi = 1, len(shifts)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if work is None:
+                work = np.empty((n, n), order="F")
+            trial = _factor_shifted(S, shifts[mid], work)
+            if trial is None:
+                lo = mid + 1
             else:
-                cho = scipy.linalg.cho_factor(S, check_finite=False)
-        except scipy.linalg.LinAlgError:
-            continue
-        dx = scipy.linalg.cho_solve(cho, -f, check_finite=False)
-        if not np.all(np.isfinite(dx)):
-            continue
-        if float(f @ dx) <= 0.0:
-            return dx, tau
+                hi, cho = mid, trial
+                best, work = work, best
+        found = hi
+    if cho is not None:
+        dx = _descent_step(cho, f)
+        if dx is not None:
+            return dx, shifts[found]
+    work = work if work is not None else best
+    for k in range(found + 1, len(shifts)):
+        if work is None:
+            work = np.empty((n, n), order="F")
+        trial = _factor_shifted(S, shifts[k], work)
+        if trial is not None:
+            dx = _descent_step(trial, f)
+            if dx is not None:
+                return dx, shifts[k]
     raise NoProgressError(f"system singular or ascent-only up to shift {shifts[-1]:.3g}")
 
 
@@ -126,7 +171,9 @@ def optimize_patch(mesh, patch, params: BarrierParams,
     Newton system is reduced to their tangent columns; the mesh coordinates
     of the patch's free vertices are updated in place.  The assembly plan
     is built once here and shared by every iteration.  A patch that cannot
-    make progress is reported as stalled, not raised.
+    make progress is reported as stalled, not raised; a rejected line search
+    that met no barrier violation on a predicted decrease |f . dX| of at most
+    eps * max(1, |objective|) counts as converged instead.
     """
     report = SolveReport()
     plan = plan_patch(mesh, patch)
@@ -147,12 +194,17 @@ def optimize_patch(mesh, patch, params: BarrierParams,
             report.stalled = True
             break
         report.shifted_solves += int(tau != 0.0)
+        predicted = float(f_eff @ dx)
         if constraints is not None:
             dx = constraints.lift(dx)
         alpha, violations, obj, min_q = line_search(mesh, patch, system, dx, params)
         report.barrier_violations += violations
         if alpha == 0.0:
-            report.stalled = True
+            # A decrease below one ulp of the objective cannot pass the Armijo
+            # test in floating point: the patch has converged, not stalled.
+            converged = violations == 0 and \
+                abs(predicted) <= np.finfo(float).eps * max(1.0, abs(system.objective))
+            report.stalled = not converged
             break
         report.iterations += 1
         report.shifts.append(tau)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import tetforge.solver
 from tetforge.barrier import compute_gamma
 from tetforge.driver import RunConfig, optimize_mesh, select_patches
 from tetforge.fixtures import generate_test_mesh
 from tetforge.mesh import VertexClass, dihedral_angles_batch, tet_volumes
+from tetforge.metrics import global_metrics
 from tetforge.quality import quality_batch
 from tetforge.topology import build_topology
 
@@ -261,11 +263,14 @@ def test_report_serializable():
 @pytest.mark.parametrize("kind", ["sphere", "grid"])
 def test_pass_metrics_equal_whole_mesh_recompute(kind):
     # the driver re-measures only the ring elements of each pass; a whole
-    # mesh recompute after every pass must give the same figures bit for bit
+    # mesh recompute after every pass must give the same figures bit for bit,
+    # and the initial metrics those of global_metrics on the input
     if kind == "sphere":
         mesh, config = generate_test_mesh("sphere", 4, seed=6, jitter=0.1), RunConfig()
     else:
         mesh, config = generate_test_mesh("with-slivers", 4, seed=9, k=3, jitter=0.1), RunConfig(target_quality=0.5)
+    adjacency = build_topology(mesh)
+    initial = global_metrics(mesh, adjacency)
     checked = []
 
     def on_pass(record):
@@ -278,7 +283,8 @@ def test_pass_metrics_equal_whole_mesh_recompute(kind):
         assert record.volume == float(tet_volumes(points).sum())
         checked.append(record.patches)
 
-    report = optimize_mesh(mesh, config, on_pass=on_pass)
+    report = optimize_mesh(mesh, config, adjacency, on_pass=on_pass)
+    assert report.initial_metrics == initial
     assert len(checked) == len(report.passes) >= 2
 
 
@@ -289,13 +295,46 @@ def test_pass_counters_deterministic_and_nonzero():
     runs = []
     for _ in range(2):
         mesh = generate_test_mesh("with-slivers", 3, seed=1, k=1, jitter=0.05)
-        # one-tet patches sweeping near convergence: some fail Armijo and stall
         report = optimize_mesh(mesh, RunConfig(mode="all-patches", max_passes=3))
         runs.append([[getattr(record, name) for name in fields] for record in report.passes])
     assert runs[0] == runs[1]
-    for name, values in zip(fields, zip(*runs[0])):
+    # this sweep has no stalled patch (test_round_off_armijo_failures_are_not_stalls);
+    # stalled_seeds is filled in test_patches_that_cannot_step_are_stalled
+    for name, values in zip(fields[:-1], zip(*runs[0])):
         assert any(values), name
     parsed = json.loads(json.dumps(report.to_dict()))
     assert [[p[name] for name in fields] for p in parsed["passes"]] == runs[0]
     for record in report.passes:
         assert (record.stalled == 0) == (record.stalled_seeds == [])
+
+
+def test_round_off_armijo_failures_are_not_stalls():
+    # one-tet patches sweeping near convergence: some line searches fail the
+    # Armijo test on a predicted decrease below one ulp of the objective
+    mesh = generate_test_mesh("with-slivers", 3, seed=1, k=1, jitter=0.05)
+    report = optimize_mesh(mesh, RunConfig(mode="all-patches", max_passes=3))
+    assert [record.stalled for record in report.passes] == [0] * len(report.passes)
+
+
+@pytest.mark.parametrize("failure", ["barrier", "armijo"])
+def test_patches_that_cannot_step_are_stalled(monkeypatch, failure):
+    if failure == "barrier":
+        # every trial point has a non-finite quality, so every trial crosses
+        # the barrier; the step is scaled far below round-off, so a barrier
+        # rejection must count as a stall however small the predicted decrease
+        newton_direction = tetforge.solver.newton_direction
+        monkeypatch.setattr(tetforge.solver, "quality_batch", lambda points: np.full(len(points), np.nan))
+        monkeypatch.setattr(tetforge.solver, "newton_direction",
+                            lambda S, f: (1e-100 * newton_direction(S, f)[0], 0.0))
+    else:
+        # every trial point is feasible but worse, on the full Newton step of each patch
+        monkeypatch.setattr(tetforge.solver, "barrier_values_batch", lambda q, gamma: np.full(len(q), np.inf))
+    mesh = generate_test_mesh("with-slivers", 3, seed=1, k=2, jitter=0.05)
+    before = mesh.vertices.copy()
+    report = optimize_mesh(mesh, RunConfig(max_passes=1, b_schedule=(0.75,)))
+    (record,) = report.passes
+    assert record.stalled == record.patches > 0
+    assert len(record.stalled_seeds) >= record.patches
+    assert record.barrier_rejections == (21 * record.patches if failure == "barrier" else 0)
+    assert record.newton_iterations == 0
+    assert np.array_equal(mesh.vertices, before)

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+import tetforge.solver
 from tetforge.barrier import BarrierParams, assemble_patch_system
 from tetforge.constraints import build_constraints, vertex_normal
-from tetforge.driver import Patch, select_patches
+from tetforge.driver import Patch, RunConfig, optimize_mesh, select_patches
 from tetforge.errors import NoProgressError
 from tetforge.fixtures import generate_test_mesh
 from tetforge.mesh import TetMesh, VertexClass
 from tetforge.quality import quality_batch, volume_length_quality
-from tetforge.solver import line_search, newton_direction, optimize_patch
+from tetforge.solver import MAX_SHIFT_EXP, line_search, newton_direction, optimize_patch
 from tetforge.topology import build_topology
 
 
@@ -45,11 +47,137 @@ def test_empty_system():
 
 
 def test_hopeless_system_raises():
-    S = np.zeros((2, 2))
     f = np.array([1.0, 0.0])
     with pytest.raises(NoProgressError):
         # force failure: NaN poisons every factorization
         newton_direction(np.full((2, 2), np.nan), f)
+
+
+def walk_newton_direction(S, f):
+    """Reference: try every shift of the ladder from 0 upward, one factorization each."""
+    n = len(f)
+    if n == 0:
+        return np.zeros(0), 0.0
+    scale = float(np.abs(np.diag(S)).max()) or 1.0
+    shifts = [0.0] + [10.0 ** k * scale for k in range(-12, MAX_SHIFT_EXP + 1)]
+    diag = np.diag_indices(n)
+    for tau in shifts:
+        try:
+            if tau:
+                shifted = np.array(S, order="F")
+                shifted[diag] += tau
+                cho = scipy.linalg.cho_factor(shifted, overwrite_a=True, check_finite=False)
+            else:
+                cho = scipy.linalg.cho_factor(S, check_finite=False)
+        except scipy.linalg.LinAlgError:
+            continue
+        dx = scipy.linalg.cho_solve(cho, -f, check_finite=False)
+        if not np.all(np.isfinite(dx)):
+            continue
+        if float(f @ dx) <= 0.0:
+            return dx, tau
+    raise NoProgressError(f"system singular or ascent-only up to shift {shifts[-1]:.3g}")
+
+
+def assert_same_as_walk(S, f):
+    """newton_direction returns the walk's tau and a bit-identical step, or raises where it does."""
+    try:
+        expected = walk_newton_direction(S, f)
+    except NoProgressError:
+        with pytest.raises(NoProgressError):
+            newton_direction(S, f)
+        return None
+    dx, tau = newton_direction(S, f)
+    assert tau == expected[1]
+    assert np.array_equal(dx, expected[0])
+    return tau
+
+
+def _system_with_ratio(rng, n, ratio):
+    """Random symmetric S with a constant diagonal s and lowest eigenvalue ratio * s, for ratio < 1."""
+    if n == 1:
+        return np.array([[np.sign(ratio)]])
+    B = rng.normal(size=(n, n))
+    B = B + B.T
+    np.fill_diagonal(B, 0.0)
+    s = -float(np.linalg.eigvalsh(B)[0]) / (1.0 - ratio)  # trace 0, so B has a negative eigenvalue
+    return 10.0 ** rng.uniform(-3.0, 3.0) * (B + s * np.eye(n))
+
+
+def test_bisection_matches_walk_on_random_systems(rng):
+    ladder = [-(10.0 ** k) for k in range(-12, 2)]
+    ratios = [0.99, 0.5, 1e-3, 0.0, -1e-13, -3e-6, -0.01, -0.03, -0.05, -0.5, -2.0, -10.0]
+    ratios += [r * (1.0 + d) for r in ladder for d in (-1e-9, 1e-9)]
+    shifted = 0
+    for n in range(1, 61):
+        for ratio in ratios:
+            S = _system_with_ratio(rng, n, ratio)
+            tau = assert_same_as_walk(S, rng.normal(size=n))
+            shifted += int(bool(tau))
+    assert shifted > 0
+
+
+def test_bisection_matches_walk_on_sphere_patch_systems(monkeypatch):
+    calls = []
+
+    def checked(S, f):
+        calls.append(assert_same_as_walk(S, f))
+        return newton_direction(S, f)
+
+    monkeypatch.setattr(tetforge.solver, "newton_direction", checked)
+    optimize_mesh(generate_test_mesh("sphere", 4, seed=1, jitter=0.2), RunConfig(max_passes=3))
+    assert len(calls) > 50
+    assert sum(1 for tau in calls if tau) > 10
+
+
+def test_bisection_matches_walk_at_top_of_ladder():
+    # max|diag S| = 1 and eigenvalues 3001 and -2999: only the 1e4 shift factors
+    S = np.array([[1.0, 3000.0], [3000.0, 1.0]])
+    f = np.array([1.0, -2.0])
+    assert assert_same_as_walk(S, f) == 10.0 ** MAX_SHIFT_EXP
+    # one decade beyond the ladder, both give up
+    assert assert_same_as_walk(S * [[1.0, 100.0], [100.0, 1.0]], f) is None
+
+
+def test_failed_descent_check_walks_up_from_the_bisected_shift(monkeypatch):
+    # the first solve of each search comes back non-finite; both searches must
+    # then move on to the shift above the first one that factors
+    solve = scipy.linalg.cho_solve
+    calls = []
+
+    def first_solve_poisoned(cho, b, **kwargs):
+        calls.append(None)
+        dx = solve(cho, b, **kwargs)
+        return np.full_like(dx, np.nan) if len(calls) == 1 else dx
+
+    monkeypatch.setattr(scipy.linalg, "cho_solve", first_solve_poisoned)
+    S = np.diag([1.0, -0.03])
+    f = np.array([1.0, 1.0])
+    expected_dx, expected_tau = walk_newton_direction(S, f)
+    calls.clear()
+    dx, tau = newton_direction(S, f)
+    assert tau == expected_tau == 1.0
+    assert np.array_equal(dx, expected_dx)
+
+
+def test_bisection_factors_about_five_times_where_walk_factors_thirteen(monkeypatch):
+    factor = scipy.linalg.cho_factor
+    count = [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+    # max|diag S| = 1 and lowest eigenvalue -0.03: the first shift that factors is 1e-1
+    S = np.diag([1.0, -0.03])
+    f = np.array([1.0, 1.0])
+    _, tau = newton_direction(S, f)
+    assert tau == 0.1
+    assert count[0] <= 6
+    count[0] = 0
+    assert walk_newton_direction(S, f)[1] == 0.1
+    assert count[0] == 13
 
 
 # --- line_search --------------------------------------------------------------
