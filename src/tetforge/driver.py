@@ -10,16 +10,18 @@ Volume drift is reported from the divergence-theorem volume of the domain
 boundary, so runs that never move a surface vertex report exactly zero
 drift.
 
-The per-pass figures come from per-tet arrays of quality, dihedral extremes
-and signed volume that are evaluated over the whole mesh once per run (the
-same evaluation gives the initial metrics) and afterwards only over the
-ring elements of each pass's patches, the only elements a pass can change.
+The per-pass figures and the final metrics come from per-tet arrays of
+signed volume, quality and dihedral angles that are evaluated over the
+whole mesh once per run (the same evaluation gives the initial metrics) and
+afterwards only over the ring elements of each pass's patches, the only
+elements a pass can change.
 """
 
 from __future__ import annotations
 
 import logging
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +37,12 @@ from tetforge.topology import AdjacencyIndex, build_topology
 logger = logging.getLogger("tetforge")
 
 MODES = ("selective", "all-patches")
+
+# Most free vertices in one selective patch (3x as many Newton DOFs).  Seeds
+# that share free vertices would otherwise merge without limit, and above a
+# moderate target they percolate into one patch spanning the mesh, whose
+# dense system costs O(n^2) memory and O(n^3) time.
+MAX_PATCH_VERTICES = 64
 
 
 @dataclass
@@ -120,28 +128,49 @@ class OptimizationReport:
         }
 
 
-def _movable_mask(mesh: TetMesh, surface_motion: bool) -> np.ndarray:
-    cls = mesh.vertex_class
-    movable = cls == VertexClass.INTERIOR
-    if surface_motion:
-        movable = movable | (cls == VertexClass.SURFACE_SMOOTH) | (cls == VertexClass.FEATURE_EDGE)
-    return movable
+def _movable(classes: np.ndarray, surface_motion: bool) -> np.ndarray:
+    """Which of the given vertex classes may move.
+
+    The movable classes have the lowest codes: INTERIOR, and with surface
+    motion SURFACE_SMOOTH and FEATURE_EDGE too.
+    """
+    return classes <= int(VertexClass.FEATURE_EDGE if surface_motion else VertexClass.INTERIOR)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _seed_chunks(seed_free: list, cap: int) -> list:
+    """Group seeds that share a free vertex into connected chunks of at most cap free vertices.
 
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+    seed_free[i] is the set of free vertices of seed i, with the seeds in
+    worst-first order.  Each chunk starts at the worst seed not yet taken
+    and grows seed by seed in breadth-first order over the seeds not yet
+    taken, neighbours worst first; it closes when the next seed would take
+    it past cap.  A connected group of at most cap free vertices is
+    therefore one chunk, and the split does not depend on vertex or tet
+    numbering.  Returns lists of seed indices.
+    """
+    seeds_at: dict[int, list] = {}
+    for i, vertices in enumerate(seed_free):
+        for v in vertices:
+            seeds_at.setdefault(v, []).append(i)
+    taken = [False] * len(seed_free)
+    chunks = []
+    for start in range(len(seed_free)):
+        if taken[start]:
+            continue
+        chunk, free, queue, queued = [], set(), deque([start]), {start}
+        while queue:
+            i = queue.popleft()
+            grown = free | seed_free[i]
+            if len(grown) > cap:
+                break
+            chunk.append(i)
+            free, taken[i] = grown, True
+            for j in sorted({j for v in seed_free[i] for j in seeds_at[v]} - queued):
+                if not taken[j]:
+                    queued.add(j)
+                    queue.append(j)
+        chunks.append(chunk)
+    return chunks
 
 
 def select_patches(mesh: TetMesh, adjacency: AdjacencyIndex, target_quality: float,
@@ -149,15 +178,19 @@ def select_patches(mesh: TetMesh, adjacency: AdjacencyIndex, target_quality: flo
                    qualities: np.ndarray | None = None) -> list:
     """Build the patches for one pass, worst seed first.
 
-    Selective mode seeds every element below the target and merges patches
-    sharing a movable vertex, so free-vertex sets are disjoint.  All-patches
-    mode makes one patch per element and skips merging: the sweep visits
-    every element the way a classic smoother does.  Patches with no movable
-    vertex are dropped.
+    Selective mode seeds every element below the target.  Seeds sharing a
+    movable vertex are grouped, and each connected group is split into
+    chunks of at most MAX_PATCH_VERTICES free vertices grown breadth first
+    from its worst seed (`_seed_chunks`); every seed lies in exactly one
+    patch.  Free-vertex sets of different groups are disjoint, while chunks
+    of one group may share free vertices and are solved one after another.
+    All-patches mode makes one patch per element and skips grouping: the
+    sweep visits every element the way a classic smoother does.  Patches
+    with no movable vertex are dropped.
     """
     if qualities is None:
         qualities = quality_batch(mesh.tet_points())
-    movable = _movable_mask(mesh, surface_motion)
+    movable = _movable(mesh.vertex_class, surface_motion)
     if mode == "all-patches":
         seeds = np.arange(mesh.num_tets, dtype=np.int64)
     else:
@@ -179,21 +212,10 @@ def select_patches(mesh: TetMesh, adjacency: AdjacencyIndex, target_quality: flo
                 seed_quality=float(qualities[t]),
             ))
     else:
-        uf = _UnionFind(len(seeds))
-        owner: dict[int, int] = {}
-        for i, t in enumerate(seeds):
-            for v in mesh.tets[t]:
-                if not movable[v]:
-                    continue
-                if v in owner:
-                    uf.union(owner[v], i)
-                else:
-                    owner[int(v)] = i
-        grouped: dict[int, list] = {}
-        for i in range(len(seeds)):
-            grouped.setdefault(uf.find(i), []).append(i)
-        for members in grouped.values():
-            seed_ids = seeds[members]
+        seeds = seeds[np.lexsort((seeds, qualities[seeds]))]
+        seed_free = [set(tet[movable[tet]].tolist()) for tet in mesh.tets[seeds]]
+        for chunk in _seed_chunks(seed_free, MAX_PATCH_VERTICES):
+            seed_ids = seeds[chunk]
             free = np.unique(mesh.tets[seed_ids].reshape(-1))
             free = free[movable[free]]
             if len(free) == 0:
@@ -208,53 +230,55 @@ def select_patches(mesh: TetMesh, adjacency: AdjacencyIndex, target_quality: flo
     return patches
 
 
-def _patch_constraints(mesh: TetMesh, adjacency: AdjacencyIndex, patch: Patch):
-    """Constraint system for a patch, dropping vertices whose normal degenerates."""
-    system, demoted = build_constraints(patch, mesh, adjacency)
-    while demoted:
-        keep = np.array([v for v in patch.free_vertices if v not in set(demoted)], dtype=np.int64)
-        patch.free_vertices = keep
-        patch.ring_tets = adjacency.ring_tets(keep)
-        system, demoted = build_constraints(patch, mesh, adjacency)
-    return system
-
-
 def _run_patch(mesh, adjacency, patch, params, config):
+    """Solve one patch, first dropping free vertices that can no longer move.
+
+    An earlier patch of the same pass may have demoted a shared vertex to a
+    corner, and building this patch's constraints may demote more; the ring
+    is recomputed whenever the free set shrinks.
+    """
     constraints = None
-    if config.surface_motion:
-        constraints = _patch_constraints(mesh, adjacency, patch)
-        if constraints.num_rows == 0:
-            constraints = None
+    while True:
+        movable = _movable(mesh.vertex_class[patch.free_vertices], config.surface_motion)
+        if not movable.all():
+            patch.free_vertices = patch.free_vertices[movable]
+            patch.ring_tets = adjacency.ring_tets(patch.free_vertices)
+        if not config.surface_motion:
+            break
+        constraints, demoted = build_constraints(patch, mesh, adjacency)
+        if not demoted:
+            break
+    if constraints is not None and constraints.num_rows == 0:
+        constraints = None
     return optimize_patch(mesh, patch, params, constraints=constraints, max_inner=config.max_inner)
 
 
 class _TetMeasures:
-    """Per-tet quality, min and max dihedral angle and signed volume.
+    """Per-tet signed volume, quality and dihedral angles.
 
     Aggregating these arrays gives the same figures, bit for bit, as
     evaluating the whole mesh again: each entry depends on its own tet only.
     """
 
     def __init__(self, num_tets: int):
-        self.quality = np.empty(num_tets)
-        self.min_dihedral = np.empty(num_tets)
-        self.max_dihedral = np.empty(num_tets)
         self.volume = np.empty(num_tets)
+        self.quality = np.empty(num_tets)
+        self.angles = np.empty((num_tets, 6))
 
-    def update(self, mesh: TetMesh, ids: np.ndarray) -> tuple:
-        """Re-evaluate tets `ids`; returns their (volumes, qualities, dihedral angles)."""
+    def update(self, mesh: TetMesh, ids: np.ndarray) -> None:
+        """Re-evaluate tets `ids` at the current coordinates."""
         points = mesh.tet_points(ids)
-        volume, quality, angles = tet_volumes(points), quality_batch(points), dihedral_angles_batch(points)
-        finite = np.isfinite(angles)
-        self.quality[ids] = quality
-        self.min_dihedral[ids] = np.where(finite, angles, np.inf).min(axis=1)
-        self.max_dihedral[ids] = np.where(finite, angles, -np.inf).max(axis=1)
-        self.volume[ids] = volume
-        return volume, quality, angles
+        self.volume[ids] = tet_volumes(points)
+        self.quality[ids] = quality_batch(points)
+        self.angles[ids] = dihedral_angles_batch(points)
+
+    def arrays(self) -> tuple:
+        """(volumes, qualities, dihedral angles) of every tet, as global_metrics takes them."""
+        return self.volume, self.quality, self.angles
 
     def dihedral_range(self) -> tuple:
-        lo, hi = self.min_dihedral.min(initial=np.inf), self.max_dihedral.max(initial=-np.inf)
-        return (float(lo), float(hi)) if np.isfinite(lo) else (np.nan, np.nan)
+        finite = self.angles[np.isfinite(self.angles)]
+        return (float(finite.min()), float(finite.max())) if finite.size else (np.nan, np.nan)
 
 
 def optimize_mesh(mesh: TetMesh, config: RunConfig,
@@ -272,7 +296,8 @@ def optimize_mesh(mesh: TetMesh, config: RunConfig,
         adjacency = build_topology(mesh, config.feature_angle_deg)
     report = OptimizationReport()
     measures = _TetMeasures(mesh.num_tets)
-    report.initial_metrics = global_metrics(mesh, adjacency, measures.update(mesh, np.arange(mesh.num_tets)))
+    measures.update(mesh, np.arange(mesh.num_tets))
+    report.initial_metrics = global_metrics(mesh, adjacency, measures.arrays())
     report.min_quality_seen = report.initial_metrics.q_min
     boundary_volume_0 = surface_enclosed_volume(mesh.vertices, adjacency.boundary_faces)
 
@@ -337,7 +362,7 @@ def optimize_mesh(mesh: TetMesh, config: RunConfig,
             if q_min_after - q_min_before < config.convergence_tol:
                 break
 
-    report.final_metrics = global_metrics(mesh, adjacency)
+    report.final_metrics = global_metrics(mesh, adjacency, measures.arrays())
     boundary_final = surface_enclosed_volume(mesh.vertices, adjacency.boundary_faces)
     report.volume_drift_percent = (
         abs(boundary_final - boundary_volume_0) / abs(boundary_volume_0) * 100.0

@@ -41,8 +41,6 @@ class SolveReport:
 
     iterations: int = 0
     objective: float = np.nan
-    step_norms: list = field(default_factory=list)
-    shifts: list = field(default_factory=list)
     shifted_solves: int = 0  # Newton directions that needed tau > 0, accepted or not
     objective_history: list = field(default_factory=list)
     barrier_violations: int = 0
@@ -50,15 +48,10 @@ class SolveReport:
     min_quality: float = np.inf  # worst ring quality seen right after accepted steps
 
 
-def _factor_shifted(S: np.ndarray, tau: float, out: np.ndarray):
-    """Cholesky factor of S + tau I computed in place in the Fortran-ordered `out`.
-
-    Returns None when S + tau I is not numerically positive definite.
-    """
-    np.copyto(out, S)
-    out[np.diag_indices(len(out))] += tau
+def _factor(S: np.ndarray, tau: float):
+    """Cholesky factor of S + tau I, or None when it is not numerically positive definite."""
     try:
-        return scipy.linalg.cho_factor(out, overwrite_a=True, check_finite=False)
+        return scipy.linalg.cho_factor(S + tau * np.eye(len(S)) if tau else S, check_finite=False)
     except scipy.linalg.LinAlgError:
         return None
 
@@ -82,43 +75,30 @@ def newton_direction(S: np.ndarray, f: np.ndarray):
     factors so does every larger shift (true in exact arithmetic, as the
     shift raises every eigenvalue).  The factor of the lowest success is
     kept, so no entry is factored twice.  If its step fails the finiteness
-    or descent check, the entries above it are tried one by one.  Shifted
-    tries factor in place in at most two Fortran-ordered n x n work arrays,
-    allocated only after the unshifted factorization has failed.
+    or descent check, the entries above it are tried one by one.
     """
     n = len(f)
     if n == 0:
         return np.zeros(0), 0.0
     scale = float(np.abs(np.diag(S)).max()) or 1.0
     shifts = [0.0] + [10.0 ** k * scale for k in range(-12, MAX_SHIFT_EXP + 1)]
-    try:
-        cho = scipy.linalg.cho_factor(S, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        cho = None
-    found = 0  # ladder index of cho
-    best = work = None  # work arrays: the one holding cho, and the one for the next try
+    found, cho = 0, _factor(S, 0.0)  # ladder index of cho
     if cho is None:
         lo, hi = 1, len(shifts)
         while lo < hi:
             mid = (lo + hi) // 2
-            if work is None:
-                work = np.empty((n, n), order="F")
-            trial = _factor_shifted(S, shifts[mid], work)
+            trial = _factor(S, shifts[mid])
             if trial is None:
                 lo = mid + 1
             else:
                 hi, cho = mid, trial
-                best, work = work, best
         found = hi
     if cho is not None:
         dx = _descent_step(cho, f)
         if dx is not None:
             return dx, shifts[found]
-    work = work if work is not None else best
     for k in range(found + 1, len(shifts)):
-        if work is None:
-            work = np.empty((n, n), order="F")
-        trial = _factor_shifted(S, shifts[k], work)
+        trial = _factor(S, shifts[k])
         if trial is not None:
             dx = _descent_step(trial, f)
             if dx is not None:
@@ -173,7 +153,8 @@ def optimize_patch(mesh, patch, params: BarrierParams,
     is built once here and shared by every iteration.  A patch that cannot
     make progress is reported as stalled, not raised; a rejected line search
     that met no barrier violation on a predicted decrease |f . dX| of at most
-    eps * max(1, |objective|) counts as converged instead.
+    eps * m * max(1, |objective|), for m ring elements, counts as converged
+    instead.
     """
     report = SolveReport()
     plan = plan_patch(mesh, patch)
@@ -200,18 +181,17 @@ def optimize_patch(mesh, patch, params: BarrierParams,
         alpha, violations, obj, min_q = line_search(mesh, patch, system, dx, params)
         report.barrier_violations += violations
         if alpha == 0.0:
-            # A decrease below one ulp of the objective cannot pass the Armijo
-            # test in floating point: the patch has converged, not stalled.
+            # The Armijo test compares two sums of m ring terms, each rounded
+            # to within about m ulps of the objective; a predicted decrease
+            # below that cannot pass it: the patch has converged, not stalled.
             converged = violations == 0 and \
-                abs(predicted) <= np.finfo(float).eps * max(1.0, abs(system.objective))
+                abs(predicted) <= np.finfo(float).eps * len(plan.tets) * max(1.0, abs(system.objective))
             report.stalled = not converged
             break
         report.iterations += 1
-        report.shifts.append(tau)
-        report.step_norms.append(alpha * float(np.linalg.norm(dx)))
         report.objective_history.append(obj)
         report.objective = obj
         report.min_quality = min(report.min_quality, min_q)
-        if report.step_norms[-1] <= STEP_TOL:
+        if alpha * float(np.linalg.norm(dx)) <= STEP_TOL:
             break
     return report

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+import tetforge.driver
 import tetforge.solver
 from tetforge.barrier import compute_gamma
-from tetforge.driver import RunConfig, optimize_mesh, select_patches
+from tetforge.driver import MAX_PATCH_VERTICES, RunConfig, optimize_mesh, select_patches
 from tetforge.fixtures import generate_test_mesh
-from tetforge.mesh import VertexClass, dihedral_angles_batch, tet_volumes
+from tetforge.mesh import TetMesh, VertexClass, dihedral_angles_batch, tet_volumes
 from tetforge.metrics import global_metrics
 from tetforge.quality import quality_batch
 from tetforge.topology import build_topology
@@ -129,6 +130,122 @@ def test_adjacent_seeds_merge():
         for b in seeds:
             if a < b and (set(mesh.tets[a]) & set(mesh.tets[b]) & movable):
                 assert patch_of[a] == patch_of[b]
+
+
+def _movable_set(mesh):
+    classes = (VertexClass.INTERIOR, VertexClass.SURFACE_SMOOTH, VertexClass.FEATURE_EDGE)
+    return {int(v) for v in range(mesh.num_vertices) if mesh.vertex_class[v] in classes}
+
+
+def _groups_of_seeds(mesh, seeds, movable):
+    """Seeds split into groups connected through shared movable vertices (reference union-find)."""
+    parent = {int(t): int(t) for t in seeds}
+
+    def find(t):
+        while parent[t] != t:
+            t = parent[t]
+        return t
+
+    owner = {}
+    for t in parent:
+        for v in set(mesh.tets[t].tolist()) & movable:
+            if v in owner:
+                parent[find(t)] = find(owner[v])
+            else:
+                owner[v] = t
+    groups = {}
+    for t in parent:
+        groups.setdefault(find(t), set()).add(t)
+    return list(groups.values())
+
+
+def _merged_grid():
+    # at target 0.5 every below-target seed of this grid lies in one group of 964 free vertices
+    mesh = generate_test_mesh("grid", 10, seed=0, jitter=0.25)
+    return mesh, build_topology(mesh)
+
+
+def test_large_seed_groups_split_into_connected_capped_chunks():
+    mesh, adjacency = _merged_grid()
+    movable = _movable_set(mesh)
+    seeds = np.flatnonzero(quality_batch(mesh.tet_points()) < 0.5)
+    groups = _groups_of_seeds(mesh, seeds, movable)
+    group_free = [{v for t in g for v in mesh.tets[t].tolist()} & movable for g in groups]
+    assert max(len(free) for free in group_free) == 964
+    patches = select_patches(mesh, adjacency, target_quality=0.5, surface_motion=True)
+    assert max(len(p.free_vertices) for p in patches) <= MAX_PATCH_VERTICES
+    # every seed is in exactly one patch
+    assert sorted(t for p in patches for t in p.seed_tets.tolist()) == sorted(seeds.tolist())
+    for patch in patches:
+        chunk = set(patch.seed_tets.tolist())
+        # the seeds of a chunk are connected, and its free vertices are theirs
+        assert len(_groups_of_seeds(mesh, patch.seed_tets, movable)) == 1
+        assert set(patch.free_vertices.tolist()) == {v for t in chunk for v in mesh.tets[t].tolist()} & movable
+        # a chunk lies in one group; free vertices of different groups are disjoint
+        (group,) = [i for i, g in enumerate(groups) if g & chunk]
+        assert chunk <= groups[group]
+        assert set(patch.free_vertices.tolist()) <= group_free[group]
+    for i, a in enumerate(group_free):
+        for b in group_free[i + 1:]:
+            assert not a & b
+
+
+def test_chunks_do_not_depend_on_numbering():
+    mesh, adjacency = _merged_grid()
+    rng = np.random.default_rng(7)
+    vertex_label = rng.permutation(mesh.num_vertices)
+    tet_order = rng.permutation(mesh.num_tets)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[vertex_label] = mesh.vertices
+    relabelled = TetMesh(vertices=vertices, tets=vertex_label[mesh.tets][tet_order])
+    relabelled_adjacency = build_topology(relabelled)
+    patches = select_patches(mesh, adjacency, target_quality=0.5)
+    relabelled_patches = select_patches(relabelled, relabelled_adjacency, target_quality=0.5)
+    sizes = sorted(len(p.free_vertices) for p in patches)
+    assert sorted(len(p.free_vertices) for p in relabelled_patches) == sizes
+    assert sizes[-1] > MAX_PATCH_VERTICES - 4  # chunks close near the cap
+    # the same chunks of seeds, in the same order
+    assert [sorted(tet_order[p.seed_tets].tolist()) for p in relabelled_patches] == \
+        [p.seed_tets.tolist() for p in patches]
+
+
+def test_merged_run_keeps_every_patch_under_the_cap():
+    mesh, adjacency = _merged_grid()
+    report = optimize_mesh(mesh, RunConfig(target_quality=0.5), adjacency)
+    assert report.passes
+    assert all(0 < record.max_patch_dofs <= 3 * MAX_PATCH_VERTICES for record in report.passes)
+    assert report.final_metrics.q_min > report.initial_metrics.q_min
+    assert report.min_quality_seen > 0.0
+
+
+@pytest.mark.parametrize("mode", ["selective", "all-patches"])
+def test_vertex_demoted_after_selection_does_not_move(monkeypatch, mode):
+    # an earlier patch of a pass may demote a vertex that a later patch also
+    # frees; the later patch must leave it where it is
+    if mode == "selective":
+        mesh, adjacency = _merged_grid()
+        config = RunConfig(target_quality=0.5, max_passes=1, b_schedule=(0.75,))
+    else:
+        mesh = generate_test_mesh("with-slivers", 3, seed=1, k=1, jitter=0.05)
+        adjacency = build_topology(mesh)
+        config = RunConfig(mode=mode, max_passes=1, b_schedule=(0.75,))
+    select = tetforge.driver.select_patches
+    demoted = []
+
+    def select_then_demote(*args, **kwargs):
+        patches = select(*args, **kwargs)
+        later = {v for p in patches[1:] for v in p.free_vertices.tolist()}
+        vertex = next(v for v in patches[0].free_vertices.tolist() if v in later)
+        mesh.vertex_class[vertex] = VertexClass.CORNER
+        demoted.append(vertex)
+        return patches
+
+    monkeypatch.setattr(tetforge.driver, "select_patches", select_then_demote)
+    before = mesh.vertices.copy()
+    optimize_mesh(mesh, config, adjacency)
+    (vertex,) = demoted
+    assert np.array_equal(mesh.vertices[vertex], before[vertex])
+    assert not np.array_equal(mesh.vertices, before)
 
 
 def test_all_patches_mode_covers_every_tet():
@@ -264,7 +381,8 @@ def test_report_serializable():
 def test_pass_metrics_equal_whole_mesh_recompute(kind):
     # the driver re-measures only the ring elements of each pass; a whole
     # mesh recompute after every pass must give the same figures bit for bit,
-    # and the initial metrics those of global_metrics on the input
+    # and the initial and final metrics those of global_metrics on the input
+    # and on the output
     if kind == "sphere":
         mesh, config = generate_test_mesh("sphere", 4, seed=6, jitter=0.1), RunConfig()
     else:
@@ -285,6 +403,7 @@ def test_pass_metrics_equal_whole_mesh_recompute(kind):
 
     report = optimize_mesh(mesh, config, adjacency, on_pass=on_pass)
     assert report.initial_metrics == initial
+    assert report.final_metrics == global_metrics(mesh, adjacency)
     assert len(checked) == len(report.passes) >= 2
 
 
@@ -314,6 +433,19 @@ def test_round_off_armijo_failures_are_not_stalls():
     mesh = generate_test_mesh("with-slivers", 3, seed=1, k=1, jitter=0.05)
     report = optimize_mesh(mesh, RunConfig(mode="all-patches", max_passes=3))
     assert [record.stalled for record in report.passes] == [0] * len(report.passes)
+
+
+@pytest.mark.parametrize("kind", ["with-inverted", "with-slivers"])
+def test_round_off_on_large_rings_is_not_a_stall(kind):
+    # a converged patch with a ring of 71 tets whose predicted decrease is a
+    # few ulps of the objective (5.4e-16 and 4.1e-16 relative): the rounding
+    # of the two 71-term sums the Armijo test compares is larger than that
+    if kind == "with-inverted":
+        mesh = generate_test_mesh("with-inverted", 3, seed=4, k=1)
+    else:
+        mesh = generate_test_mesh("with-slivers", 4, seed=1, k=3, jitter=0.05)
+    report = optimize_mesh(mesh, RunConfig(mode="all-patches", max_passes=3))
+    assert [record.stalled_seeds for record in report.passes] == [[]] * len(report.passes)
 
 
 @pytest.mark.parametrize("failure", ["barrier", "armijo"])
