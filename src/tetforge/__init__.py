@@ -4,11 +4,12 @@ Raises the quality of the worst elements of a tet mesh by damped Newton
 minimization of a log-barrier objective over the volume-length quality
 measure, patch by patch, with optional surface-vertex motion constrained to
 preserve the discretized domain geometry and volume.
+
+The top level exports what a run needs; the building blocks stay in their
+submodules (tetforge.barrier, tetforge.constraints, tetforge.solver, ...).
 """
 
-from tetforge.barrier import BarrierParams, PatchSystem, assemble_patch_system, barrier_grad_hess, barrier_value, compute_gamma
-from tetforge.constraints import ConstraintSystem, VertexNormal, build_constraints, project_system, vertex_normal
-from tetforge.driver import OptimizationReport, Patch, RunConfig, optimize_mesh, select_patches
+from tetforge.driver import OptimizationReport, RunConfig, optimize_mesh
 from tetforge.errors import (
     BarrierViolationError,
     DegenerateNormalError,
@@ -20,19 +21,14 @@ from tetforge.errors import (
 )
 from tetforge.fixtures import generate_test_mesh
 from tetforge.io import load_mesh, save_mesh
-from tetforge.mesh import TetMesh, VertexClass, dihedral_angles, surface_enclosed_volume, tet_signed_volume
-from tetforge.metrics import GlobalMetrics, global_metrics
-from tetforge.quality import QualityDiff, volume_length_diff, volume_length_quality
-from tetforge.solver import SolveReport, line_search, newton_direction, optimize_patch
-from tetforge.topology import AdjacencyIndex, build_topology
+from tetforge.mesh import TetMesh, VertexClass
+from tetforge.metrics import GlobalMetrics
+from tetforge.topology import build_topology
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjacencyIndex",
-    "BarrierParams",
     "BarrierViolationError",
-    "ConstraintSystem",
     "DegenerateNormalError",
     "DegenerateTetError",
     "GlobalMetrics",
@@ -40,35 +36,14 @@ __all__ = [
     "MeshStructureError",
     "NoProgressError",
     "OptimizationReport",
-    "Patch",
-    "PatchSystem",
-    "QualityDiff",
     "RunConfig",
-    "SolveReport",
     "TetForgeError",
     "TetMesh",
     "VertexClass",
-    "VertexNormal",
-    "assemble_patch_system",
-    "barrier_grad_hess",
-    "barrier_value",
-    "build_constraints",
+    "__version__",
     "build_topology",
-    "compute_gamma",
-    "dihedral_angles",
     "generate_test_mesh",
-    "global_metrics",
-    "line_search",
     "load_mesh",
-    "newton_direction",
     "optimize_mesh",
-    "optimize_patch",
-    "project_system",
     "save_mesh",
-    "select_patches",
-    "surface_enclosed_volume",
-    "tet_signed_volume",
-    "vertex_normal",
-    "volume_length_diff",
-    "volume_length_quality",
 ]

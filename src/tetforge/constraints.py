@@ -10,9 +10,10 @@ Every such condition touches the three DOFs of one vertex, so the
 constraint null space is block-diagonal.  Each free vertex gets an
 orthonormal 3x3 frame B_v whose first columns span its normals and whose
 remaining, kept columns span its admissible motion: all three for an
-interior vertex, two on a smooth surface, one on a crease.  The frame comes
-from the SVD of the vertex's unit normals with rank tolerance PIVOT_TOL, so
-dependent normals simply add no rank.
+interior vertex, two on a smooth surface, one on a crease, none at a
+corner or a user-fixed vertex.  The frame comes from the SVD of the
+vertex's unit normals with rank tolerance PIVOT_TOL, so dependent normals
+simply add no rank.
 
 The constrained Newton step is the null-space step (Nocedal & Wright,
 Numerical Optimization, 16.2): with T the kept columns of the block
@@ -119,20 +120,26 @@ def tangent_frame(normals):
 
 
 def build_constraints(patch, mesh: TetMesh, adjacency: AdjacencyIndex):
-    """Tangent frames for the free vertices of a patch.
+    """Tangent frames for the free vertices of a patch, from their current classes.
 
-    Returns (ConstraintSystem, demoted) where demoted lists free vertices
-    whose normals degenerated; those are reclassified as corners in place
-    and keep an identity frame, and the caller must drop them from the free
-    set.
+    These frames alone decide how far each free vertex may move: an interior
+    vertex keeps all three columns, a smooth surface or crease vertex its
+    tangent columns, and a corner or user-fixed vertex none, so a vertex
+    demoted after the patch was selected stays where it is.  A surface
+    vertex whose normals degenerate is reclassified as a corner in place and
+    keeps no column.  Returns (ConstraintSystem, demoted), demoted listing
+    the vertices reclassified by this call.
     """
     free = patch.free_vertices
     frames = np.tile(np.eye(3), (len(free), 1, 1))
     keep = np.ones((len(free), 3), dtype=bool)
     demoted = []
     for i, v in enumerate(free):
-        cls = VertexClass(mesh.vertex_class[v])
+        cls = int(mesh.vertex_class[v])
+        if cls == VertexClass.INTERIOR:
+            continue
         if cls not in (VertexClass.SURFACE_SMOOTH, VertexClass.FEATURE_EDGE):
+            keep[i] = False  # corner or user-fixed
             continue
         try:
             if cls == VertexClass.SURFACE_SMOOTH:
@@ -141,6 +148,7 @@ def build_constraints(patch, mesh: TetMesh, adjacency: AdjacencyIndex):
                 normals = _group_unit_normals(v, mesh, adjacency)
         except DegenerateNormalError:
             mesh.vertex_class[v] = VertexClass.CORNER
+            keep[i] = False
             demoted.append(int(v))
             logger.debug("vertex %d demoted to corner: degenerate normal", v)
             continue

@@ -6,6 +6,11 @@ elements (or every element in all-patches mode) and runs a short Newton
 solve on each.  The schedule sweeps the barrier constant upward so early
 passes spread improvement while later ones bear down on the worst element.
 
+Selection fixes each patch's free vertices once; with surface motion the
+tangent frames built from the vertex classes at solve time then decide how
+far each of them may move, so a vertex demoted to a corner by an earlier
+patch of the same pass stays where it is.
+
 Volume drift is reported from the divergence-theorem volume of the domain
 boundary, so runs that never move a surface vertex report exactly zero
 drift.
@@ -31,7 +36,7 @@ from tetforge.constraints import build_constraints
 from tetforge.mesh import TetMesh, VertexClass, dihedral_angles_batch, surface_enclosed_volume, tet_volumes
 from tetforge.metrics import GlobalMetrics, global_metrics
 from tetforge.quality import quality_batch
-from tetforge.solver import DEFAULT_MAX_INNER, optimize_patch
+from tetforge.solver import optimize_patch
 from tetforge.topology import AdjacencyIndex, build_topology
 
 logger = logging.getLogger("tetforge")
@@ -43,6 +48,10 @@ MODES = ("selective", "all-patches")
 # moderate target they percolate into one patch spanning the mesh, whose
 # dense system costs O(n^2) memory and O(n^3) time.
 MAX_PATCH_VERTICES = 64
+
+# A barrier constant's passes stop once a pass raises the worst quality by
+# less than this.
+CONVERGENCE_TOL = 1e-4
 
 
 @dataclass
@@ -69,8 +78,6 @@ class RunConfig:
     mode: str = "selective"
     surface_motion: bool = True
     feature_angle_deg: float = 30.0
-    max_inner: int = DEFAULT_MAX_INNER
-    convergence_tol: float = 1e-4
 
     def validate(self) -> None:
         sched = tuple(self.b_schedule)
@@ -184,73 +191,54 @@ def select_patches(mesh: TetMesh, adjacency: AdjacencyIndex, target_quality: flo
     from its worst seed (`_seed_chunks`); every seed lies in exactly one
     patch.  Free-vertex sets of different groups are disjoint, while chunks
     of one group may share free vertices and are solved one after another.
-    All-patches mode makes one patch per element and skips grouping: the
-    sweep visits every element the way a classic smoother does.  Patches
+    All-patches mode seeds every element and makes each seed a chunk of its
+    own: the sweep visits every element the way a classic smoother does.
+    Both modes build their patches from the chunks in one loop.  Patches
     with no movable vertex are dropped.
     """
     if qualities is None:
         qualities = quality_batch(mesh.tet_points())
     movable = _movable(mesh.vertex_class, surface_motion)
     if mode == "all-patches":
-        seeds = np.arange(mesh.num_tets, dtype=np.int64)
+        chunks, worst = np.arange(mesh.num_tets, dtype=np.int64)[:, None], qualities
     else:
         seeds = np.flatnonzero(qualities < target_quality).astype(np.int64)
-    if len(seeds) == 0:
-        return []
-
-    patches = []
-    if mode == "all-patches":
-        for t in seeds:
-            free = mesh.tets[t][movable[mesh.tets[t]]]
-            if len(free) == 0:
-                continue
-            free = np.unique(free)
-            patches.append(Patch(
-                seed_tets=np.array([t]),
-                free_vertices=free,
-                ring_tets=adjacency.ring_tets(free),
-                seed_quality=float(qualities[t]),
-            ))
-    else:
         seeds = seeds[np.lexsort((seeds, qualities[seeds]))]
         seed_free = [set(tet[movable[tet]].tolist()) for tet in mesh.tets[seeds]]
-        for chunk in _seed_chunks(seed_free, MAX_PATCH_VERTICES):
-            seed_ids = seeds[chunk]
-            free = np.unique(mesh.tets[seed_ids].reshape(-1))
-            free = free[movable[free]]
-            if len(free) == 0:
-                continue
-            patches.append(Patch(
-                seed_tets=np.sort(seed_ids),
-                free_vertices=free,
-                ring_tets=adjacency.ring_tets(free),
-                seed_quality=float(qualities[seed_ids].min()),
-            ))
+        picks = _seed_chunks(seed_free, MAX_PATCH_VERTICES)
+        chunks = [np.sort(seeds[c]) for c in picks]
+        worst = qualities[seeds[[c[0] for c in picks]]]  # a chunk starts at its worst seed
+
+    patches = []
+    for seed_ids, seed_quality in zip(chunks, worst):
+        free = np.unique(mesh.tets[seed_ids])
+        free = free[movable[free]]
+        if len(free) == 0:
+            continue
+        patches.append(Patch(
+            seed_tets=seed_ids,
+            free_vertices=free,
+            ring_tets=adjacency.ring_tets(free),
+            seed_quality=float(seed_quality),
+        ))
     patches.sort(key=lambda p: (p.seed_quality, int(p.seed_tets[0])))
     return patches
 
 
 def _run_patch(mesh, adjacency, patch, params, config):
-    """Solve one patch, first dropping free vertices that can no longer move.
+    """Solve one patch as selected.
 
-    An earlier patch of the same pass may have demoted a shared vertex to a
-    corner, and building this patch's constraints may demote more; the ring
-    is recomputed whenever the free set shrinks.
+    With surface motion the patch's tangent frames are built from the
+    current vertex classes, and they alone restrict the step: a free vertex
+    that is now a corner, demoted by an earlier patch or by this build,
+    keeps no frame column and does not move.
     """
     constraints = None
-    while True:
-        movable = _movable(mesh.vertex_class[patch.free_vertices], config.surface_motion)
-        if not movable.all():
-            patch.free_vertices = patch.free_vertices[movable]
-            patch.ring_tets = adjacency.ring_tets(patch.free_vertices)
-        if not config.surface_motion:
-            break
-        constraints, demoted = build_constraints(patch, mesh, adjacency)
-        if not demoted:
-            break
-    if constraints is not None and constraints.num_rows == 0:
-        constraints = None
-    return optimize_patch(mesh, patch, params, constraints=constraints, max_inner=config.max_inner)
+    if config.surface_motion:
+        constraints, _ = build_constraints(patch, mesh, adjacency)
+        if constraints.num_rows == 0:
+            constraints = None
+    return optimize_patch(mesh, patch, params, constraints=constraints)
 
 
 class _TetMeasures:
@@ -287,7 +275,7 @@ def optimize_mesh(mesh: TetMesh, config: RunConfig,
     """Improve the mesh in place and return the run report.
 
     For every barrier constant in the schedule, passes run until the worst
-    quality stops improving by more than convergence_tol or max_passes is
+    quality stops improving by more than CONVERGENCE_TOL or max_passes is
     reached.  on_pass, when given, receives each PassRecord as it completes.
     """
     config.validate()
@@ -319,7 +307,7 @@ def optimize_mesh(mesh: TetMesh, config: RunConfig,
             touched = np.zeros(mesh.num_tets, dtype=bool)
             for patch in patches:
                 solve = _run_patch(mesh, adjacency, patch, params, config)
-                touched[patch.ring_tets] = True  # after any demotion: the final ring bounds what moved
+                touched[patch.ring_tets] = True
                 counts["newton_iterations"] += solve.iterations
                 counts["shifted_solves"] += solve.shifted_solves
                 counts["barrier_rejections"] += solve.barrier_violations
@@ -359,14 +347,11 @@ def optimize_mesh(mesh: TetMesh, config: RunConfig,
                 pass_index, b, q_min_before, q_min_after, len(patches), record.stalled,
                 record.elapsed_s,
             )
-            if q_min_after - q_min_before < config.convergence_tol:
+            if q_min_after - q_min_before < CONVERGENCE_TOL:
                 break
 
     report.final_metrics = global_metrics(mesh, adjacency, measures.arrays())
-    boundary_final = surface_enclosed_volume(mesh.vertices, adjacency.boundary_faces)
-    report.volume_drift_percent = (
-        abs(boundary_final - boundary_volume_0) / abs(boundary_volume_0) * 100.0
-        if boundary_volume_0 else 0.0
-    )
+    # no vertex moves after the last pass record is taken
+    report.volume_drift_percent = report.passes[-1].drift_percent if report.passes else 0.0
     report.elapsed_s = time.perf_counter() - t0
     return report

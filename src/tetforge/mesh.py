@@ -88,13 +88,14 @@ class TetMesh:
             tri_refs=self.tri_refs.copy(),
         )
 
-    def validate(self, allow_internal_surfaces: bool = True) -> None:
+    def validate(self) -> None:
         """Check structural invariants, raising MeshStructureError on failure.
 
-        Internal surfaces (triangles shared by two tets, e.g. crack faces)
-        are tolerated by default; a triangle matching no tet face never is.
-        Inverted tets are valid input, but a tet whose quality is not finite
-        (all four vertices at one point) is not.
+        A listed surface triangle must be a face of one tet, or of two for an
+        internal surface such as a crack face; one matching no tet face, or
+        shared by more, is rejected.  Inverted tets are valid input, but a
+        tet whose quality is not finite (all four vertices at one point) is
+        not.
         """
         nv = self.num_vertices
         if not np.all(np.isfinite(self.vertices)):
@@ -113,25 +114,37 @@ class TetMesh:
         if len(self.surface_tris):
             if self.surface_tris.min() < 0 or self.surface_tris.max() >= nv:
                 raise MeshStructureError("surface triangle index out of range")
-            counts = _face_incidence(self.tets)
-            max_owned = 2 if allow_internal_surfaces else 1
-            for i, tri in enumerate(self.surface_tris):
-                key = tuple(sorted(tri.tolist()))
-                owners = counts.get(key, 0)
-                if owners == 0:
+            # group the tet faces together with the listed triangles; a
+            # triangle's owners are the tet faces in its group
+            num_tet_faces = 4 * self.num_tets
+            faces = np.concatenate([self.tets[:, TET_FACES].reshape(-1, 3), self.surface_tris])
+            order, starts, counts = group_faces(faces)
+            from_tets = np.add.reduceat((order < num_tet_faces).astype(np.int64), starts)
+            owners = np.empty(len(faces), dtype=np.int64)
+            owners[order] = np.repeat(from_tets, counts)
+            owners = owners[num_tet_faces:]
+            bad = (owners == 0) | (owners > 2)
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                if owners[i] == 0:
                     raise MeshStructureError(f"surface triangle {i} is not a face of any tet")
-                if owners > max_owned:
-                    raise MeshStructureError(f"surface triangle {i} is shared by {owners} tets")
+                raise MeshStructureError(f"surface triangle {i} is shared by {owners[i]} tets")
 
 
-def _face_incidence(tets: np.ndarray) -> dict:
-    counts: dict = {}
-    for tet in tets:
-        t = tet.tolist()
-        for fa, fb, fc in TET_FACES:
-            key = tuple(sorted((t[fa], t[fb], t[fc])))
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+def group_faces(faces: np.ndarray) -> tuple:
+    """Group triangles made of the same three vertices, in any order.
+
+    Returns (order, starts, counts): faces[order] lists the copies of each
+    distinct triangle next to each other, the copies of group g being
+    faces[order[starts[g]:starts[g] + counts[g]]].  faces must not be empty.
+    """
+    keys = np.sort(faces, axis=1)
+    # Sorting the faces lexicographically by their sorted vertex ids puts
+    # copies of one face next to each other.
+    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
+    ordered = keys[order]
+    starts = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
+    return order, starts, np.diff(np.r_[starts, len(order)])
 
 
 def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ while gamma >= 0.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -42,7 +42,6 @@ class SolveReport:
     iterations: int = 0
     objective: float = np.nan
     shifted_solves: int = 0  # Newton directions that needed tau > 0, accepted or not
-    objective_history: list = field(default_factory=list)
     barrier_violations: int = 0
     stalled: bool = False
     min_quality: float = np.inf  # worst ring quality seen right after accepted steps
@@ -189,7 +188,6 @@ def optimize_patch(mesh, patch, params: BarrierParams,
             report.stalled = not converged
             break
         report.iterations += 1
-        report.objective_history.append(obj)
         report.objective = obj
         report.min_quality = min(report.min_quality, min_q)
         if alpha * float(np.linalg.norm(dx)) <= STEP_TOL:

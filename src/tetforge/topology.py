@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from tetforge.errors import MeshStructureError
-from tetforge.mesh import TET_FACES, TetMesh, VertexClass, triangle_area_normals
+from tetforge.mesh import TET_FACES, TetMesh, VertexClass, group_faces, triangle_area_normals
 
 logger = logging.getLogger("tetforge")
 
@@ -39,7 +39,6 @@ class AdjacencyIndex:
     vertex_tris: list
     normal_groups: dict[int, list] = field(default_factory=dict)
     boundary_faces: np.ndarray = field(default_factory=lambda: np.zeros((0, 3), dtype=np.int64))
-    feature_angle_deg: float = 30.0
 
     def ring_tets(self, vertices) -> np.ndarray:
         """Ids of all tets incident to any vertex in the given set."""
@@ -69,16 +68,11 @@ def extract_boundary_faces(mesh: TetMesh) -> np.ndarray:
     if mesh.num_tets == 0:
         return np.zeros((0, 3), dtype=np.int64)
     faces = mesh.tets[:, TET_FACES].reshape(-1, 3)
-    keys = np.sort(faces, axis=1)
-    # Sorting the faces lexicographically by their sorted vertex ids puts
-    # copies of one face next to each other.
-    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
-    ordered = keys[order]
-    starts = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
-    counts = np.diff(np.r_[starts, len(order)])
+    order, starts, counts = group_faces(faces)
     if counts.max(initial=0) > 2:
         bad = np.argmax(counts)
-        raise MeshStructureError(f"non-manifold face {tuple(ordered[starts[bad]])} shared by {counts[bad]} tets")
+        face = np.sort(faces[order[starts[bad]]])
+        raise MeshStructureError(f"non-manifold face {tuple(face)} shared by {counts[bad]} tets")
     single = np.zeros(len(faces), dtype=bool)
     single[order[starts[counts == 1]]] = True
     return faces[single]
@@ -167,5 +161,4 @@ def build_topology(mesh: TetMesh, feature_angle_deg: float = 30.0) -> AdjacencyI
         vertex_tris=vertex_tris,
         normal_groups=groups_by_vertex,
         boundary_faces=boundary,
-        feature_angle_deg=feature_angle_deg,
     )

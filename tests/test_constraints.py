@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tetforge.constraints
 from tetforge.barrier import BarrierParams, assemble_patch_system
 from tetforge.constraints import (
     ConstraintSystem,
@@ -12,7 +13,8 @@ from tetforge.constraints import (
     tangent_frame,
     vertex_normal,
 )
-from tetforge.driver import Patch, select_patches
+from tetforge.driver import Patch, RunConfig, optimize_mesh, select_patches
+from tetforge.errors import DegenerateNormalError
 from tetforge.fixtures import generate_test_mesh
 from tetforge.mesh import VertexClass, triangle_area_normals
 from tetforge.quality import quality_batch
@@ -149,6 +151,36 @@ def test_patch_without_surface_vertices_has_no_rows():
     S2, f2 = project_system(S, f, system.frames, system.keep)
     assert np.array_equal(S2, S)
     assert np.array_equal(f2, f)
+
+
+def test_degenerate_normal_demotes_vertex_to_a_fixed_corner(monkeypatch):
+    mesh = generate_test_mesh("sphere", 3, seed=6, jitter=0.1)
+    adjacency = build_topology(mesh)
+    patch = select_patches(mesh, adjacency, target_quality=0.3)[0]
+    i, vertex = next((i, int(v)) for i, v in enumerate(patch.free_vertices)
+                     if mesh.vertex_class[v] == VertexClass.SURFACE_SMOOTH)
+    resultant_normal = tetforge.constraints.vertex_normal
+
+    def degenerate_at_vertex(v, mesh, adjacency):
+        if v == vertex:
+            raise DegenerateNormalError(f"vertex {v} has a vanishing resultant normal")
+        return resultant_normal(v, mesh, adjacency)
+
+    monkeypatch.setattr(tetforge.constraints, "vertex_normal", degenerate_at_vertex)
+    built = mesh.copy()
+    system, demoted = build_constraints(patch, built, adjacency)
+    assert demoted == [vertex]
+    assert not system.keep[i].any()
+    assert built.vertex_class[vertex] == VertexClass.CORNER
+    assert system.keep.any()
+
+    # a run that meets the degenerate normal leaves the demoted vertex in place
+    before = mesh.vertices.copy()
+    report = optimize_mesh(mesh, RunConfig(max_passes=2), adjacency)
+    assert report.passes
+    assert mesh.vertex_class[vertex] == VertexClass.CORNER
+    assert np.array_equal(mesh.vertices[vertex], before[vertex])
+    assert not np.array_equal(mesh.vertices, before)
 
 
 # --- null-space step -------------------------------------------------------------

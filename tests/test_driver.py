@@ -168,7 +168,8 @@ def _merged_grid():
 def test_large_seed_groups_split_into_connected_capped_chunks():
     mesh, adjacency = _merged_grid()
     movable = _movable_set(mesh)
-    seeds = np.flatnonzero(quality_batch(mesh.tet_points()) < 0.5)
+    qualities = quality_batch(mesh.tet_points())
+    seeds = np.flatnonzero(qualities < 0.5)
     groups = _groups_of_seeds(mesh, seeds, movable)
     group_free = [{v for t in g for v in mesh.tets[t].tolist()} & movable for g in groups]
     assert max(len(free) for free in group_free) == 964
@@ -178,6 +179,7 @@ def test_large_seed_groups_split_into_connected_capped_chunks():
     assert sorted(t for p in patches for t in p.seed_tets.tolist()) == sorted(seeds.tolist())
     for patch in patches:
         chunk = set(patch.seed_tets.tolist())
+        assert patch.seed_quality == qualities[patch.seed_tets].min()
         # the seeds of a chunk are connected, and its free vertices are theirs
         assert len(_groups_of_seeds(mesh, patch.seed_tets, movable)) == 1
         assert set(patch.free_vertices.tolist()) == {v for t in chunk for v in mesh.tets[t].tolist()} & movable

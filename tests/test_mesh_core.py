@@ -7,9 +7,11 @@ from tetforge.errors import DegenerateTetError, MeshFormatError, MeshStructureEr
 from tetforge.fixtures import generate_test_mesh
 from tetforge.io import load_mesh, save_mesh
 from tetforge.mesh import (
+    TET_FACES,
     TetMesh,
     VertexClass,
     dihedral_angles,
+    group_faces,
     surface_enclosed_volume,
     tet_signed_volume,
     tet_volumes,
@@ -201,12 +203,7 @@ def test_adjacency_inverse_consistency():
 
 
 def test_non_manifold_face_rejected():
-    # three tets sharing one face
-    vertices = np.array([
-        [0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1], [1, 1, 1],
-    ], dtype=float)
-    tets = np.array([[0, 1, 2, 3], [0, 2, 1, 4], [0, 1, 2, 5]])
-    mesh = TetMesh(vertices=vertices, tets=tets)
+    mesh = _non_manifold_mesh()
     with pytest.raises(MeshStructureError, match="non-manifold"):
         build_topology(mesh)
 
@@ -216,10 +213,17 @@ def test_surface_extraction_unique_and_closed():
     boundary = extract_boundary_faces(mesh)
     keys = {tuple(sorted(tri)) for tri in boundary.tolist()}
     assert len(keys) == len(boundary)
-    # each boundary face belongs to exactly one tet
-    from tetforge.mesh import _face_incidence
-    counts = _face_incidence(mesh.tets)
-    assert all(counts[k] == 1 for k in keys)
+    # each boundary face belongs to exactly one tet: grouped with the tet
+    # faces, its group holds itself and one tet face
+    num_tet_faces = 4 * mesh.num_tets
+    order, starts, counts = group_faces(np.concatenate([mesh.tets[:, TET_FACES].reshape(-1, 3), boundary]))
+    boundary_groups = 0
+    for start, count in zip(starts, counts):
+        members = order[start:start + count]
+        if (members >= num_tet_faces).any():
+            assert count == 2 and (members < num_tet_faces).sum() == 1
+            boundary_groups += 1
+    assert boundary_groups == len(boundary)
     # closed outward surface: area-weighted normals cancel
     normals = triangle_area_normals(mesh.vertices, boundary)
     total_area = np.linalg.norm(normals, axis=1).sum()
@@ -266,6 +270,44 @@ def test_validate_catches_bad_indices(corner_tet):
     mesh.tets = np.array([[0, 1, 2, 9]])
     with pytest.raises(MeshStructureError):
         mesh.validate()
+
+
+def _non_manifold_mesh():
+    # three tets sharing the face (0, 1, 2)
+    vertices = np.array([
+        [0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1], [1, 1, 1],
+    ], dtype=float)
+    return TetMesh(vertices=vertices, tets=np.array([[0, 1, 2, 3], [0, 2, 1, 4], [0, 1, 2, 5]]))
+
+
+def test_validate_rejects_triangle_that_is_no_tet_face():
+    mesh = generate_test_mesh("grid", 2)
+    build_topology(mesh)
+    # corner, centre and opposite corner of the cube are collinear: no tet has that face
+    stray = [0, 13, 26]
+    assert np.allclose(mesh.vertices[stray], [[0, 0, 0], [0.5, 0.5, 0.5], [1, 1, 1]])
+    tris = mesh.surface_tris
+    mesh.surface_tris = np.concatenate([tris[:5], [stray], tris[5:], [stray]])
+    with pytest.raises(MeshStructureError, match="^surface triangle 5 is not a face of any tet$"):
+        mesh.validate()
+
+
+def test_validate_rejects_listed_face_of_three_tets():
+    mesh = _non_manifold_mesh()
+    mesh.surface_tris = np.array([[0, 1, 3], [1, 0, 2], [0, 2, 1]])
+    with pytest.raises(MeshStructureError, match="^surface triangle 1 is shared by 3 tets$"):
+        mesh.validate()
+
+
+def test_validate_accepts_listed_internal_face():
+    mesh = generate_test_mesh("grid", 2)
+    build_topology(mesh)
+    faces = mesh.tets[:, TET_FACES].reshape(-1, 3)
+    order, starts, counts = group_faces(faces)
+    internal = faces[order[starts[np.argmax(counts == 2)]]]
+    assert sum(set(internal.tolist()) <= set(tet.tolist()) for tet in mesh.tets) == 2
+    mesh.surface_tris = np.concatenate([mesh.surface_tris, [internal]])
+    mesh.validate()
 
 
 def collapsed_tet_mesh():
