@@ -140,9 +140,9 @@ def run_cli(argv=None) -> int:
         out_format = args.format or infer_format(args.output)
         save_mesh(mesh, args.output, out_format)
         if args.histogram:
-            atomic_write_text(args.histogram, _histogram_csv(report.final_metrics.dihedral_histogram))
+            atomic_write_text(args.histogram, [_histogram_csv(report.final_metrics.dihedral_histogram)])
         if args.report:
-            atomic_write_text(args.report, json.dumps(report.to_dict(), indent=2) + "\n")
+            atomic_write_text(args.report, [json.dumps(report.to_dict(), indent=2) + "\n"])
     except MeshStructureError as exc:
         print(f"tetforge: {exc}", file=sys.stderr)
         return EXIT_STRUCTURE

@@ -93,7 +93,7 @@ def vertex_normal(v: int, mesh: TetMesh, adjacency: AdjacencyIndex) -> VertexNor
 
 def _group_unit_normals(v: int, mesh: TetMesh, adjacency: AdjacencyIndex) -> list:
     """One unit resultant normal per stored normal cluster of vertex v."""
-    groups = adjacency.normal_groups.get(v)
+    groups = adjacency.normal_groups(v)
     if not groups:
         raise DegenerateNormalError(f"vertex {v} has no normal clusters")
     out = []

@@ -24,7 +24,7 @@ import itertools
 import numpy as np
 
 from tetforge.mesh import TetMesh, dihedral_angles_batch, tet_volumes
-from tetforge.topology import _invert_incidence
+from tetforge.topology import Incidence
 
 KINDS = ("grid", "sphere", "with-slivers", "with-inverted")
 
@@ -123,7 +123,7 @@ def _ball(n: int):
 def _perturb_interior(vertices, tets, interior, rng, amplitude: float) -> None:
     """Displace interior vertices randomly, halving any move that would
     push an incident element to non-positive volume."""
-    star = _invert_incidence(len(vertices), tets)
+    star = Incidence.from_elements(len(vertices), tets)
     offsets = rng.uniform(-amplitude, amplitude, size=(len(vertices), 3))
     floor = 1e-12
     for v in np.flatnonzero(interior):
@@ -150,7 +150,7 @@ def _opposite_face_foot(points: np.ndarray, slot: int) -> np.ndarray:
 
 def _candidate_moves(mesh, interior, rng):
     """Yield (vertex, star_tets, tet, slot) move candidates in seeded order."""
-    star = _invert_incidence(mesh.num_vertices, mesh.tets)
+    star = Incidence.from_elements(mesh.num_vertices, mesh.tets)
     victims = np.flatnonzero(interior)
     rng.shuffle(victims)
     for v in victims:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -47,20 +48,21 @@ def save_mesh(mesh: TetMesh, path, fmt: str | None = None) -> None:
     mesh.validate()
     fmt = fmt or infer_format(path)
     if fmt == "medit":
-        text = _format_medit(mesh)
+        chunks = _format_medit(mesh)
     elif fmt == "vtk":
-        text = _format_vtk(mesh)
+        chunks = _format_vtk(mesh)
     else:
         raise MeshFormatError(f"unknown mesh format {fmt!r}")
-    atomic_write_text(path, text)
+    atomic_write_text(path, chunks)
 
 
-def atomic_write_text(path, text: str) -> None:
+def atomic_write_text(path, chunks) -> None:
+    """Write an iterable of str chunks, in order, through a temp file and a rename."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -70,40 +72,67 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def _g17(x: float) -> str:
-    return f"{x:.17g}"
+# Rows formatted per string; bounds the text held in memory while writing.
+_BLOCK_ROWS = 4096
+
+
+def _format_rows(row_format: str, *columns):
+    """Yield the rows of (n,) or (n, k) column arrays, _BLOCK_ROWS rows a string.
+
+    The values reach '%' formatting as Python numbers, so '%.17g' prints a
+    float64 exactly as f'{x:.17g}' does and '%d' an int64 as str() does.
+    """
+    columns = [c if c.ndim == 2 else c[:, None] for c in columns]
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = np.hstack([c[start:start + _BLOCK_ROWS].astype(object) for c in columns])
+        yield (row_format * len(block)) % tuple(block.ravel().tolist())
+
+
+class _Lines:
+    """Cursor over the non-blank lines of a text file, with 1-based line numbers.
+
+    Medit files may carry '#' comments; VTK must keep them (its header line
+    starts with one).  pos is the number of the line last read, or of the
+    last line once the file is exhausted.
+    """
+
+    def __init__(self, path, strip_comments=True):
+        with open(path, "r") as fh:
+            text = fh.read()
+        self.lines = text.split("\n")
+        if self.lines[-1] == "":
+            self.lines.pop()  # the text after the final newline is no line
+        if strip_comments and "#" in text:
+            self.lines = [line.split("#", 1)[0] for line in self.lines]
+        self.nonblank = [i for i, line in enumerate(self.lines) if line and not line.isspace()]
+        self.taken = 0
+        self.pos = 0
+
+    def records(self, count: int):
+        """The next count non-blank lines (fewer at end of file) and their 0-based indices."""
+        ids = self.nonblank[self.taken:self.taken + count]
+        self.taken += len(ids)
+        if len(ids) < count:
+            self.pos = len(self.lines)
+        elif ids:
+            self.pos = ids[-1] + 1
+        return [self.lines[i] for i in ids], ids
+
+    def next_tokens(self):
+        if self.taken == len(self.nonblank):
+            self.pos = len(self.lines)
+            return None, self.pos
+        i = self.nonblank[self.taken]
+        self.taken += 1
+        self.pos = i + 1
+        return self.lines[i].split(), self.pos
 
 
 # --- Medit ---------------------------------------------------------------
 
 # Sections we skip: keyword followed by a count and that many records.
-_MEDIT_SKIP = {"Edges": 3, "Corners": 1, "RequiredVertices": 1, "Ridges": 1,
-               "Quadrilaterals": 5, "Hexahedra": 9, "Normals": 3, "Tangents": 3}
-
-
-class _Lines:
-    """Line cursor that tracks 1-based line numbers and skips blank lines.
-
-    Medit files may carry '#' comments; VTK must keep them (its header line
-    starts with one).
-    """
-
-    def __init__(self, path, strip_comments=True):
-        with open(path, "r") as fh:
-            self.lines = fh.readlines()
-        self.pos = 0
-        self.strip_comments = strip_comments
-
-    def next_tokens(self):
-        while self.pos < len(self.lines):
-            self.pos += 1
-            raw = self.lines[self.pos - 1]
-            if self.strip_comments:
-                raw = raw.split("#", 1)[0]
-            raw = raw.strip()
-            if raw:
-                return raw.split(), self.pos
-        return None, self.pos
+_MEDIT_SKIP = {"Edges", "Corners", "RequiredVertices", "Ridges",
+               "Quadrilaterals", "Hexahedra", "Normals", "Tangents"}
 
 
 def _medit_count(cursor: _Lines, tokens, lineno: int, keyword: str) -> int:
@@ -115,29 +144,62 @@ def _medit_count(cursor: _Lines, tokens, lineno: int, keyword: str) -> int:
             raise MeshFormatError(f"missing count after {keyword!r}", line=lineno)
         value = nxt[0]
     try:
-        return int(value)
+        count = int(value)
     except ValueError:
-        raise MeshFormatError(f"bad count {value!r} after {keyword!r}", line=where) from None
+        count = -1
+    if count < 0:
+        raise MeshFormatError(f"bad count {value!r} after {keyword!r}", line=where)
+    return count
 
 
-def _medit_rows(cursor: _Lines, count: int, width: int, kind: str, keyword: str):
-    rows = np.empty((count, width + 1), dtype=np.float64 if kind == "float" else np.int64)
-    row_lines = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        tokens, lineno = cursor.next_tokens()
-        if tokens is None:
-            raise MeshFormatError(f"unexpected end of file inside {keyword!r}", line=lineno)
-        if len(tokens) < width:
-            raise MeshFormatError(f"expected at least {width} fields in {keyword!r} record", line=lineno)
-        try:
-            vals = [float(t) if kind == "float" else int(t) for t in tokens[:width]]
-            ref = int(float(tokens[width])) if len(tokens) > width else 0
-        except ValueError:
-            raise MeshFormatError(f"malformed {keyword!r} record", line=lineno) from None
-        rows[i, :width] = vals
-        rows[i, width] = ref
-        row_lines[i] = lineno
-    return rows, row_lines
+def _parse_records(rows, width: int, dtype):
+    """width fields of dtype and an optional ref (0 when absent) from each row.
+
+    Raises ValueError on a row with fewer than width fields or with a field
+    or ref that does not parse; fields after the ref are ignored.  A ref may
+    be written as a float and is truncated toward zero.
+    """
+    if not rows:
+        return np.zeros((0, width), dtype=dtype), np.zeros(0, dtype=np.int64)
+    record = np.dtype([("fields", dtype, (width,)), ("ref", np.float64)])
+    # the appended 0 is the ref of a row that has none, and an ignored
+    # extra field of a row that has one
+    with warnings.catch_warnings():
+        # numpy releases that still parse an integer field such as '1.5' via
+        # a float and truncate it only warn; make that a parse error
+        warnings.filterwarnings("error", message=".*integer via a float", category=DeprecationWarning)
+        table = np.loadtxt([row + " 0" for row in rows], dtype=record, usecols=range(width + 1),
+                           comments=None, ndmin=1)
+    refs = table["ref"]
+    if not np.all(np.abs(refs) < 2.0 ** 63):
+        raise ValueError("ref is not a finite int64")
+    return table["fields"], refs.astype(np.int64)
+
+
+def _medit_records(cursor: _Lines, count: int, width: int, dtype, keyword: str):
+    """(fields, refs, 0-based line indices) of the next count records of a section."""
+    rows, ids = cursor.records(count)
+    try:
+        fields, refs = _parse_records(rows, width, dtype)
+    except ValueError:
+        for row, i in zip(rows, ids):  # row by row only to name the first bad line
+            if len(row.split()) < width:
+                raise MeshFormatError(f"expected at least {width} fields in {keyword!r} record",
+                                      line=i + 1) from None
+            try:
+                _parse_records([row], width, dtype)
+            except ValueError:
+                raise MeshFormatError(f"malformed {keyword!r} record", line=i + 1) from None
+        raise
+    if len(rows) < count:
+        raise MeshFormatError(f"unexpected end of file inside {keyword!r}", line=cursor.pos)
+    return fields, refs, ids
+
+
+def _check_indices(elements, ids, nv: int, what: str) -> None:
+    bad_rows = np.flatnonzero(((elements < 0) | (elements >= nv)).any(axis=1))
+    if bad_rows.size:
+        raise MeshFormatError(f"{what} vertex index out of range 1..{nv}", line=ids[bad_rows[0]] + 1)
 
 
 def _load_medit(path) -> TetMesh:
@@ -160,20 +222,17 @@ def _load_medit(path) -> TetMesh:
                 raise MeshFormatError(f"only Dimension 3 supported, got {dim}", line=lineno)
         elif keyword == "Vertices":
             count = _medit_count(cursor, tokens, lineno, keyword)
-            rows, _ = _medit_rows(cursor, count, 3, "float", keyword)
-            vertices, vrefs = rows[:, :3], rows[:, 3].astype(np.int64)
+            vertices, vrefs, _ = _medit_records(cursor, count, 3, np.float64, keyword)
         elif keyword == "Tetrahedra":
             count = _medit_count(cursor, tokens, lineno, keyword)
-            rows, tet_lines = _medit_rows(cursor, count, 4, "int", keyword)
-            tets, trefs = rows[:, :4] - 1, rows[:, 4]
+            tets, trefs, tet_lines = _medit_records(cursor, count, 4, np.int64, keyword)
+            tets = tets - 1
         elif keyword == "Triangles":
             count = _medit_count(cursor, tokens, lineno, keyword)
-            rows, tri_lines = _medit_rows(cursor, count, 3, "int", keyword)
-            tris, srefs = rows[:, :3] - 1, rows[:, 3]
+            tris, srefs, tri_lines = _medit_records(cursor, count, 3, np.int64, keyword)
+            tris = tris - 1
         elif keyword in _MEDIT_SKIP:
-            count = _medit_count(cursor, tokens, lineno, keyword)
-            for _ in range(count):
-                cursor.next_tokens()
+            cursor.records(_medit_count(cursor, tokens, lineno, keyword))
         else:
             raise MeshFormatError(f"unrecognized Medit keyword {keyword!r}", line=lineno)
     if vertices is None:
@@ -181,16 +240,9 @@ def _load_medit(path) -> TetMesh:
     if tets is None:
         raise MeshFormatError("file has no Tetrahedra section", line=lineno)
     nv = len(vertices)
-    if tets.size:
-        bad_rows = np.flatnonzero(((tets < 0) | (tets >= nv)).any(axis=1))
-        if bad_rows.size:
-            raise MeshFormatError(f"tetrahedron vertex index out of range 1..{nv}",
-                                  line=int(tet_lines[bad_rows[0]]))
-    if tris is not None and tris.size:
-        bad_rows = np.flatnonzero(((tris < 0) | (tris >= nv)).any(axis=1))
-        if bad_rows.size:
-            raise MeshFormatError(f"triangle vertex index out of range 1..{nv}",
-                                  line=int(tri_lines[bad_rows[0]]))
+    _check_indices(tets, tet_lines, nv, "tetrahedron")
+    if tris is not None:
+        _check_indices(tris, tri_lines, nv, "triangle")
     return TetMesh(
         vertices=vertices,
         tets=tets,
@@ -201,21 +253,16 @@ def _load_medit(path) -> TetMesh:
     )
 
 
-def _format_medit(mesh: TetMesh) -> str:
-    out = ["MeshVersionFormatted 2", "Dimension 3", "Vertices", str(mesh.num_vertices)]
-    for p, r in zip(mesh.vertices, mesh.vertex_refs):
-        out.append(f"{_g17(p[0])} {_g17(p[1])} {_g17(p[2])} {r}")
+def _format_medit(mesh: TetMesh):
+    """The Medit text of a mesh, as an iterator of str chunks."""
+    yield f"MeshVersionFormatted 2\nDimension 3\nVertices\n{mesh.num_vertices}\n"
+    yield from _format_rows("%.17g %.17g %.17g %d\n", mesh.vertices, mesh.vertex_refs)
     if len(mesh.surface_tris):
-        out.append("Triangles")
-        out.append(str(len(mesh.surface_tris)))
-        for t, r in zip(mesh.surface_tris + 1, mesh.tri_refs):
-            out.append(f"{t[0]} {t[1]} {t[2]} {r}")
-    out.append("Tetrahedra")
-    out.append(str(mesh.num_tets))
-    for t, r in zip(mesh.tets + 1, mesh.tet_refs):
-        out.append(f"{t[0]} {t[1]} {t[2]} {t[3]} {r}")
-    out.append("End")
-    return "\n".join(out) + "\n"
+        yield f"Triangles\n{len(mesh.surface_tris)}\n"
+        yield from _format_rows("%d %d %d %d\n", mesh.surface_tris + 1, mesh.tri_refs)
+    yield f"Tetrahedra\n{mesh.num_tets}\n"
+    yield from _format_rows("%d %d %d %d %d\n", mesh.tets + 1, mesh.tet_refs)
+    yield "End\n"
 
 
 # --- VTK legacy ----------------------------------------------------------
@@ -294,24 +341,16 @@ def _load_vtk(path) -> TetMesh:
     return TetMesh(vertices=vertices, tets=tets, surface_tris=tris)
 
 
-def _format_vtk(mesh: TetMesh) -> str:
-    out = [
-        "# vtk DataFile Version 3.0",
-        "tetforge mesh",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.num_vertices} double",
-    ]
-    for p in mesh.vertices:
-        out.append(f"{_g17(p[0])} {_g17(p[1])} {_g17(p[2])}")
+def _format_vtk(mesh: TetMesh):
+    """The legacy-VTK text of a mesh, as an iterator of str chunks."""
     ncells = mesh.num_tets + len(mesh.surface_tris)
     nints = 5 * mesh.num_tets + 4 * len(mesh.surface_tris)
-    out.append(f"CELLS {ncells} {nints}")
-    for t in mesh.tets:
-        out.append(f"4 {t[0]} {t[1]} {t[2]} {t[3]}")
-    for t in mesh.surface_tris:
-        out.append(f"3 {t[0]} {t[1]} {t[2]}")
-    out.append(f"CELL_TYPES {ncells}")
-    out.extend([str(_VTK_TET)] * mesh.num_tets)
-    out.extend([str(_VTK_TRI)] * len(mesh.surface_tris))
-    return "\n".join(out) + "\n"
+    yield ("# vtk DataFile Version 3.0\ntetforge mesh\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+           f"POINTS {mesh.num_vertices} double\n")
+    yield from _format_rows("%.17g %.17g %.17g\n", mesh.vertices)
+    yield f"CELLS {ncells} {nints}\n"
+    yield from _format_rows("4 %d %d %d %d\n", mesh.tets)
+    yield from _format_rows("3 %d %d %d\n", mesh.surface_tris)
+    yield f"CELL_TYPES {ncells}\n"
+    yield f"{_VTK_TET}\n" * mesh.num_tets
+    yield f"{_VTK_TRI}\n" * len(mesh.surface_tris)

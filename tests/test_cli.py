@@ -136,7 +136,7 @@ def test_collapsed_tet_exit_2_names_it(tmp_path, capsys):
     from test_mesh_core import collapsed_tet_mesh
 
     path = tmp_path / "bad.mesh"
-    path.write_text(_format_medit(collapsed_tet_mesh()))  # save_mesh would refuse it
+    path.write_text("".join(_format_medit(collapsed_tet_mesh())))  # save_mesh would refuse it
     assert run_cli([str(path), "-o", str(tmp_path / "out.mesh")]) == 2
     err = capsys.readouterr().err
     assert "tet 100 is degenerate" in err

@@ -35,7 +35,7 @@ def _vertex_normals(v, mesh, adjacency):
         return [vertex_normal(int(v), mesh, adjacency).unit_n]
     if cls == VertexClass.FEATURE_EDGE:
         out = []
-        for tri_ids in adjacency.normal_groups[int(v)]:
+        for tri_ids in adjacency.normal_groups(int(v)):
             n = triangle_area_normals(mesh.vertices, mesh.surface_tris[tri_ids]).sum(axis=0)
             out.append(n / np.linalg.norm(n))
         return out

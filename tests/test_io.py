@@ -1,0 +1,205 @@
+"""Medit reader behaviour, pinned line by line, and the block writers against
+a row-by-row f-string reference."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from tetforge.errors import MeshFormatError
+from tetforge.fixtures import generate_test_mesh
+from tetforge.io import _format_medit, _format_vtk, load_mesh, save_mesh
+from tetforge.mesh import TetMesh
+from tetforge.topology import build_topology
+
+# Two tets sharing the face (2, 3, 4), with every optional Medit feature the
+# reader accepts: comments on their own line and after a record, blank lines
+# inside a section, a record without a ref, extra fields after the ref, a
+# ref written as a float, and the skipped sections.
+ACCEPTED = """\
+# written by hand
+MeshVersionFormatted 2
+Dimension
+3
+Vertices
+5
+0 0 0 1
+1 0 0 1  # trailing comment
+
+0 1 0
+0 0 1 2.0 extra fields
+1 1 1 7
+Edges 1
+1 2 0
+Corners
+1
+1
+Triangles 2
+1 2 3 5
+
+2 4 3
+Normals
+1
+0 0 1
+Tetrahedra
+2
+1 2 3 4 3
+2 3 4 5 -4.0 # the second
+End
+"""
+
+
+def _write(tmp_path, text, name="in.mesh"):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+def test_medit_reader_accepts_optional_syntax(tmp_path):
+    mesh = load_mesh(_write(tmp_path, ACCEPTED))
+    assert mesh.vertices.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+    assert mesh.vertex_refs.tolist() == [1, 1, 0, 2, 7]
+    assert mesh.surface_tris.tolist() == [[0, 1, 2], [1, 3, 2]]
+    assert mesh.tri_refs.tolist() == [5, 0]
+    assert mesh.tets.tolist() == [[0, 1, 2, 3], [1, 2, 3, 4]]
+    assert mesh.tet_refs.tolist() == [3, -4]
+    assert mesh.vertices.dtype == np.float64
+    assert mesh.tets.dtype == mesh.vertex_refs.dtype == mesh.tet_refs.dtype == np.int64
+
+
+def test_medit_reader_reads_back_every_written_bit(tmp_path):
+    mesh = generate_test_mesh("sphere", 3, seed=4, jitter=0.3)
+    build_topology(mesh)
+    mesh.vertex_refs = np.arange(mesh.num_vertices) % 5 - 2
+    mesh.tet_refs = np.arange(mesh.num_tets) % 3
+    path = tmp_path / "ball.mesh"
+    save_mesh(mesh, path)
+    back = load_mesh(path)
+    for name in ("vertices", "tets", "surface_tris", "vertex_refs", "tet_refs", "tri_refs"):
+        assert np.array_equal(getattr(back, name), getattr(mesh, name)), name
+
+
+# (replacement applied to ACCEPTED, message, 1-based line of the error)
+REJECTED = [
+    ("0 1 0\n", "0 1.x 0\n", "malformed 'Vertices' record", 10),
+    ("1 2 3 4 3\n", "1 2 3\n", "expected at least 4 fields in 'Tetrahedra' record", 27),
+    ("1 2 3 4 3\n", "1 2 1.5 4 3\n", "malformed 'Tetrahedra' record", 27),
+    ("1 2 3 4 3\n", "1 2 3.0 4 3\n", "malformed 'Tetrahedra' record", 27),
+    ("2 4 3\n", "2e0 4 3\n", "malformed 'Triangles' record", 21),
+    ("2 3 4 5 -4.0 # the second\nEnd\n", "", "unexpected end of file inside 'Tetrahedra'", 27),
+    ("2 4 3\n", "2 6 3\n", "triangle vertex index out of range 1..5", 21),
+]
+
+
+@pytest.mark.parametrize("old,new,message,line", REJECTED, ids=[
+    "malformed-coordinate", "too-few-fields", "fractional-index", "float-index", "exponent-index",
+    "eof-in-tetrahedra", "triangle-index-range"])
+def test_medit_reader_rejects_with_line(tmp_path, old, new, message, line):
+    assert ACCEPTED.count(old) == 1
+    path = _write(tmp_path, ACCEPTED.replace(old, new))
+    with pytest.raises(MeshFormatError) as info:
+        load_mesh(path)
+    assert info.value.line == line
+    assert str(info.value) == f"{message} (line {line})"
+
+
+def test_fractional_index_is_rejected_where_numpy_only_warns(tmp_path, monkeypatch):
+    """Some numpy releases parse '1.5' in an integer field via a float, truncate
+    it and only emit a DeprecationWarning; the reader must reject it there too.
+
+    The stand-in loadtxt behaves like those releases: it warns, and when the
+    warning is an error it raises ValueError from it, as numpy's parser does.
+    """
+    real_loadtxt = np.loadtxt
+
+    def loadtxt(rows, **kwargs):
+        if any("1.5" in row for row in rows):
+            try:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            except DeprecationWarning as exc:
+                raise ValueError("could not convert string '1.5' to int64") from exc
+            rows = [row.replace("1.5", "1") for row in rows]
+        return real_loadtxt(rows, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        with pytest.raises(MeshFormatError) as info:
+            load_mesh(_write(tmp_path, ACCEPTED.replace("1 2 3 4 3\n", "1 2 1.5 4 3\n")))
+    assert str(info.value) == "malformed 'Tetrahedra' record (line 27)"
+
+
+def test_medit_reader_rejects_negative_count(tmp_path):
+    with pytest.raises(MeshFormatError) as info:
+        load_mesh(_write(tmp_path, ACCEPTED.replace("Vertices\n5\n", "Vertices\n-5\n")))
+    assert str(info.value) == "bad count '-5' after 'Vertices' (line 6)"
+
+
+def test_medit_reader_reports_first_bad_record(tmp_path):
+    text = ACCEPTED.replace("1 2 3 4 3\n", "1 2 x 4 3\n").replace("2 3 4 5 -4.0", "2 3")
+    with pytest.raises(MeshFormatError) as info:
+        load_mesh(_write(tmp_path, text))
+    assert str(info.value) == "malformed 'Tetrahedra' record (line 27)"
+
+
+# --- writers -------------------------------------------------------------------
+
+def _reference_medit(mesh):
+    """The row-by-row f-string Medit writer that the block writer replaced."""
+    g = "{:.17g}".format
+    out = ["MeshVersionFormatted 2", "Dimension 3", "Vertices", str(mesh.num_vertices)]
+    for p, r in zip(mesh.vertices, mesh.vertex_refs):
+        out.append(f"{g(p[0])} {g(p[1])} {g(p[2])} {r}")
+    if len(mesh.surface_tris):
+        out += ["Triangles", str(len(mesh.surface_tris))]
+        for t, r in zip(mesh.surface_tris + 1, mesh.tri_refs):
+            out.append(f"{t[0]} {t[1]} {t[2]} {r}")
+    out += ["Tetrahedra", str(mesh.num_tets)]
+    for t, r in zip(mesh.tets + 1, mesh.tet_refs):
+        out.append(f"{t[0]} {t[1]} {t[2]} {t[3]} {r}")
+    out.append("End")
+    return "\n".join(out) + "\n"
+
+
+def _reference_vtk(mesh):
+    """The row-by-row f-string VTK writer that the block writer replaced."""
+    g = "{:.17g}".format
+    out = ["# vtk DataFile Version 3.0", "tetforge mesh", "ASCII", "DATASET UNSTRUCTURED_GRID",
+           f"POINTS {mesh.num_vertices} double"]
+    for p in mesh.vertices:
+        out.append(f"{g(p[0])} {g(p[1])} {g(p[2])}")
+    ncells = mesh.num_tets + len(mesh.surface_tris)
+    out.append(f"CELLS {ncells} {5 * mesh.num_tets + 4 * len(mesh.surface_tris)}")
+    for t in mesh.tets:
+        out.append(f"4 {t[0]} {t[1]} {t[2]} {t[3]}")
+    for t in mesh.surface_tris:
+        out.append(f"3 {t[0]} {t[1]} {t[2]}")
+    out.append(f"CELL_TYPES {ncells}")
+    out += ["10"] * mesh.num_tets + ["5"] * len(mesh.surface_tris)
+    return "\n".join(out) + "\n"
+
+
+def _awkward_mesh():
+    """A mesh larger than one write block, with awkward coordinates and refs."""
+    mesh = generate_test_mesh("grid", 10, seed=3, jitter=0.2)
+    build_topology(mesh)
+    mesh.vertices[:6] = [[-0.0, 1e-300, 1e300], [5e-324, -1e-300, -1e300], [0.1, 1 / 3, -2 / 3],
+                         [1.0, -1.0, 2.0 ** 60], [np.pi, -np.e, 1e16], [123456789.123, -0.5, 1e-5]]
+    rng = np.random.default_rng(0)
+    mesh.vertex_refs = rng.integers(-10 ** 12, 10 ** 12, mesh.num_vertices)
+    mesh.tet_refs = rng.integers(-5, 6, mesh.num_tets)
+    mesh.tri_refs = rng.integers(1, 4, len(mesh.surface_tris))
+    return mesh
+
+
+@pytest.mark.parametrize("fmt", ["medit", "vtk"])
+def test_block_writer_matches_row_reference(fmt):
+    mesh = _awkward_mesh()
+    writer, reference = {"medit": (_format_medit, _reference_medit), "vtk": (_format_vtk, _reference_vtk)}[fmt]
+    assert "".join(writer(mesh)) == reference(mesh)
+
+
+def test_writers_without_surface_triangles():
+    mesh = TetMesh(vertices=np.eye(4, 3), tets=np.array([[0, 1, 2, 3]]), tet_refs=np.array([9]))
+    assert "".join(_format_medit(mesh)) == _reference_medit(mesh)
+    assert "".join(_format_vtk(mesh)) == _reference_vtk(mesh)
