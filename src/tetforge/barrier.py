@@ -11,14 +11,14 @@ The per-element Hessian of I is the true second derivative,
   (1/(1-gamma) + 1/(q-gamma)^2) grad q grad q^T + I'(q) hess q;
 note the plus sign on the rank-one term, which is what differentiating the
 gradient forces and what the finite-difference checks in the test suite pin
-down.  It keeps the factored form of the quality Hessian (quality.py) with
-a different 2x2 per element.
+down.  It is quality.py's entry formula with c1 = I'(q) and c2 = I''(q).
 
-Patch assembly builds only the 3x3 blocks whose two vertex slots are both
-free; blocks touching a fixed vertex never reach the system.  The index
-arrays that pick and scatter those blocks depend on connectivity alone, so
-a `PatchPlan` is built once per patch solve and reused by every assembly
-and line search of that solve.
+Patch assembly sums only the entries whose vertex slots are free.  A
+`PatchPlan`, built once per patch solve from connectivity alone, gives each
+ring element a 4-bit mask of its free slots and reads the element's free
+coordinates and Hessian entries off constant tables for the 16 masks; it
+keeps them as int32 flat indices, with the (m, 12) index of the ring
+coordinates that the assembly and the line search both read.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from tetforge.errors import BarrierViolationError
-from tetforge.quality import SlotPairs, quality_batch, quality_diff_batch, slot_pairs
+from tetforge.quality import CURVATURE_COLUMN, derivatives, quality_batch, quality_diff_batch
+
+_XYZ4 = np.tile(np.arange(3, dtype=np.int32), 4)
 
 
 def compute_gamma(q_min: float, b: float) -> float:
@@ -79,12 +81,10 @@ def barrier_value(q: float, gamma: float) -> float:
 
 
 def barrier_values_batch(q: np.ndarray, gamma: float) -> np.ndarray:
-    """Batch barrier values; entries with q <= gamma come back as +inf."""
-    out = np.full(q.shape, np.inf)
-    ok = np.isfinite(q) & (q > gamma)
-    qa = q[ok]
-    out[ok] = qa * qa / (2.0 * (1.0 - gamma)) - np.log(qa - gamma)
-    return out
+    """Batch barrier values; entries with q <= gamma or NaN come back as +inf."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        values = q * q / (2.0 * (1.0 - gamma)) - np.log(q - gamma)
+    return np.where(q > gamma, values, np.inf)
 
 
 def barrier_grad_hess(qd, gamma: float):
@@ -98,25 +98,35 @@ def barrier_grad_hess(qd, gamma: float):
     return grad, hess
 
 
+# For each of the 16 masks (bit i set: vertex slot i is free), the free
+# coordinates 3i..3i+2 and the Hessian entries (r, c) between them.
+_SLOT_BITS = 1 << np.arange(4)
+_FREE_COORDS = np.repeat((np.arange(16)[:, None] & _SLOT_BITS) > 0, 3, axis=1)
+_FREE_ENTRIES = (_FREE_COORDS[:, :, None] & _FREE_COORDS[:, None, :]).reshape(16, 144)
+
+
 @dataclass
 class PatchPlan:
     """Connectivity-only index arrays for assembling one patch.
 
-    ring, tets : ids of the ring elements and their (m, 4) vertex ids
-    free : free vertex ids; free[i] owns DOFs 3i..3i+2
+    ring, free : ring element ids; free vertex ids, free[i] owning DOFs 3i..3i+2
+    coords : (m, 12) index into mesh.vertices.reshape(-1) of each ring
+        element's coordinates, read by the assembly and the line search
     grad_index, grad_dof : flat (m*12) gradient entries of free slots and
         the DOF each lands in
-    pairs : the (element, slot, slot) blocks with both slots free
-    scatter : (len(pairs.row) * 9,) flat row-major index into S of each
-        entry of those blocks
+    entry, curv : the Hessian entries (e, r, c) between free coordinates,
+        as `quality.derivatives` takes them
+    scatter : flat row-major index into S of each; all are int32, which
+        holds n * n for any S that fits in memory
     """
 
     ring: np.ndarray
-    tets: np.ndarray
     free: np.ndarray
+    coords: np.ndarray
     grad_index: np.ndarray
     grad_dof: np.ndarray
-    pairs: SlotPairs
+    entry: np.ndarray
+    curv: np.ndarray
     scatter: np.ndarray
 
     @property
@@ -130,26 +140,19 @@ def plan_patch(mesh, patch) -> PatchPlan:
     ring = np.asarray(patch.ring_tets, dtype=np.int64)
     tets = mesh.tets[ring]
     n = 3 * len(free)
-    hit = np.zeros(tets.shape, dtype=bool)
-    dof = np.zeros(tets.shape, dtype=np.int64)  # first DOF of each slot's vertex, read only where hit
-    if len(free):
-        order = np.argsort(free)
-        sorted_free = free[order]
-        pos = np.searchsorted(sorted_free, tets)
-        pos[pos >= len(free)] = 0
-        hit = sorted_free[pos] == tets
-        dof = 3 * order[pos]
-
-    xyz = np.arange(3)
-    e, i = np.nonzero(hit)
-    grad_index = ((4 * e + i)[:, None] * 3 + xyz).reshape(-1)
-    grad_dof = (dof[e, i][:, None] + xyz).reshape(-1)
-
-    e, i, j = np.nonzero(hit[:, :, None] & hit[:, None, :])
-    rows = dof[e, i][:, None, None] + xyz[None, :, None]
-    cols = dof[e, j][:, None, None] + xyz[None, None, :]
-    return PatchPlan(ring=ring, tets=tets, free=free, grad_index=grad_index, grad_dof=grad_dof,
-                     pairs=slot_pairs(e, i, j), scatter=(rows * n + cols).reshape(-1))
+    # first DOF of each slot's vertex, negative on fixed ones
+    slot_dof = np.full(len(mesh.vertices), -1, dtype=np.int32)
+    slot_dof[free] = np.arange(0, n, 3, dtype=np.int32)
+    slot_dof = slot_dof[tets]
+    mask = (slot_dof >= 0) @ _SLOT_BITS
+    dof = (slot_dof.repeat(3, axis=1) + _XYZ4).reshape(-1)  # of each of the 12 m coordinates, where free
+    grad_index = np.flatnonzero(_FREE_COORDS[mask]).astype(np.int32)
+    entry = np.flatnonzero(_FREE_ENTRIES[mask]).astype(np.int32)  # 144 e + 12 r + c
+    row, elem = entry // 12, entry // 144  # 12 e + r and e
+    col = entry - 12 * row + 12 * elem  # 12 e + c
+    return PatchPlan(ring=ring, free=free, coords=(3 * tets).astype(np.int32).repeat(3, axis=1) + _XYZ4,
+                     grad_index=grad_index, grad_dof=dof[grad_index], entry=entry,
+                     curv=39 * elem + CURVATURE_COLUMN.take(entry - 144 * elem), scatter=dof[row] * n + dof[col])
 
 
 @dataclass
@@ -188,24 +191,24 @@ def assemble_patch_system(mesh, patch, params: BarrierParams, plan: PatchPlan | 
     if plan is None:
         plan = plan_patch(mesh, patch)
     n = plan.ndof
-    if len(plan.tets) == 0 or n == 0:
+    if len(plan.ring) == 0 or n == 0:
         return PatchSystem(S=np.zeros((n, n)), f=np.zeros(n), objective=0.0, plan=plan)
 
-    q, grad, hess = quality_diff_batch(mesh.vertices[plan.tets])
-    bad = ~(np.isfinite(q) & (q > params.gamma))
-    if np.any(bad):
-        k = int(np.argmax(bad))
+    x = mesh.vertices.take(plan.coords)
+    terms = quality_diff_batch(x)
+    q, gamma = terms.q, params.gamma
+    if not q.min() > gamma:
+        k = int(np.argmin(q > gamma))  # the first element at or below gamma, or NaN
         tid = int(plan.ring[k])
         raise BarrierViolationError(
-            f"element {tid} quality {q[k]:.6g} at or below barrier {params.gamma:.6g}",
+            f"element {tid} quality {q[k]:.6g} at or below barrier {gamma:.6g}",
             tet_id=tid,
         )
-    gamma = params.gamma
     val = q * q / (2.0 * (1.0 - gamma)) - np.log(q - gamma)
-    c1 = q / (1.0 - gamma) - 1.0 / (q - gamma)
-    c2 = 1.0 / (1.0 - gamma) + 1.0 / (q - gamma) ** 2
+    inv = 1.0 / (q - gamma)
+    c1, c2 = q / (1.0 - gamma) - inv, 1.0 / (1.0 - gamma) + inv * inv
 
-    f = np.bincount(plan.grad_dof, weights=(c1[:, None] * grad).reshape(-1)[plan.grad_index], minlength=n)
-    blocks = hess.chain(c1, c2).blocks(plan.pairs)
-    S = np.bincount(plan.scatter, weights=blocks.reshape(-1), minlength=n * n).reshape(n, n)
+    grad, hess = derivatives(x, terms, c1, c2, plan.entry, plan.curv)
+    f = np.bincount(plan.grad_dof, weights=grad.take(plan.grad_index), minlength=n)
+    S = np.bincount(plan.scatter, weights=hess, minlength=n * n).reshape(n, n)
     return PatchSystem(S=S, f=f, objective=float(val.sum()), plan=plan)

@@ -6,48 +6,87 @@ a regular tet, 0 for a degenerate one and negative for an inverted one, and
 is smooth in the vertex positions wherever at least one edge has nonzero
 length.
 
-Derivatives are exact closed forms built from the volume (a trilinear
-polynomial) and the edge-length sum of squares S (a quadratic), written in
-batch form over (m, 4, 3) point arrays.  The 12 derivative slots are the
-x,y,z coordinates of p0..p3 in order.  With q = c V S^(-3/2),
+Elements are (m, 12) rows, x, y, z of p0..p3, or (m, 4, 3) arrays.  All is
+computed from the six edge vectors p_j - p_i, so nothing depends on where
+an element sits, and `quality_batch` shares its steps with the kernel
+`quality_diff_batch`, so both give the same q to the bit.  With S the sum
+of squared edge lengths and q = c V S^(-3/2), the kernel returns q, grad V,
+grad S and the scalars A = c S^(-3/2), B = -3/2 c V S^(-5/2) and the
+entries n01, n11 of N = [[0, n01], [n01, n11]]:
 
-    grad q = A grad V + B grad S,
-    Hess q = A H_V + B H_S + [grad V  grad S] N [grad V  grad S]^T,
+    Hess q = A H_V + B H_S + [grad V  grad S] N [grad V  grad S]^T.
 
-where A = c S^(-3/2) and B = -3/2 c V S^(-5/2) are per-element scalars and
-N is a symmetric 2x2 per element.  H_V's diagonal 3x3 blocks vanish and its
-block (i, j) is the cross-product matrix of the edge p_k - p_l over 6, for
-(i, j, k, l) an even permutation of (0, 1, 2, 3); H_S is the constant
-2 (4 I - 1) (x) I_3.  `HessianFactors` keeps this form (w = (A, B), n = N),
-so a caller can build only the 3x3 blocks it needs; `expand` gives the full
-12x12 matrix, the one formula the finite-difference tests pin.
+H_V is linear in the points: each entry is +-(P_s - P_t)/6 for two
+same-axis coordinates of distinct vertices, or 0; H_S = 2 (4 I - 1) (x) I_3.
+For f(q) with f' = c1 and f'' = c2 per element, one formula gives entry
+(r, c) of the Hessian of f, with a = c1 A, b = c1 B, R = c2 grad q and
+L = c1 (n01 grad V + n11 grad S / 2):
+
+    a HV_rc + b HS_rc + R_r gq_c + L_r gS_c + gS_r L_c.
+
+`derivatives` evaluates it for the entries asked for: the barrier assembly
+those between free coordinates, `volume_length_diff` (f(q) = q) all 144 of
+one element, which the finite-difference tests pin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
 from tetforge.errors import DegenerateTetError
-from tetforge.mesh import _cross_rows as _cross
+from tetforge.mesh import TET_EDGES
 
 # q = QCOEF * V / S^(3/2) with S the sum of squared edge lengths:
 # 6*sqrt(2) * V / (S/6)^(3/2) = 6^(5/2)*sqrt(2) * V * S^(-3/2).
 QCOEF = 72.0 * np.sqrt(3.0)
 
-# H_V block (i, j) is skew(p[_EDGE_HEAD[i, j]] - p[_EDGE_TAIL[i, j]]) / 6;
-# the diagonal entries pick p0 - p0, the vanishing diagonal blocks.
-_EDGE_HEAD = np.array([[0, 2, 3, 1], [3, 0, 0, 2], [1, 3, 0, 0], [2, 0, 1, 0]])
-_EDGE_TAIL = np.array([[0, 3, 1, 2], [2, 0, 3, 0], [3, 0, 0, 1], [1, 2, 0, 0]])
+# Edge k of TET_EDGES, (i, j), is p_j - p_i: columns 3k..3k+2 of the (m, 18) edges.
+_ENDPOINTS = np.array([[3 * j + c for _, j in TET_EDGES for c in range(3)],
+                       [3 * i + c for i, _ in TET_EDGES for c in range(3)]])
 
-# H_S block (i, j) is this scalar times I_3: each vertex pairs with the other three.
-_HESS_S_BLOCK = 2.0 * (4.0 * np.eye(4) - 1.0)
+# grad V at p0..p3 is, over 6, the cross product of edges (p3-p1, p2-p1),
+# (p2-p0, p3-p0), (p3-p0, p1-p0) and (p1-p0, p2-p0); with f = edges[:, _CROSS],
+# cross(a, b)_c = a_(c+1) b_(c+2) - a_(c+2) b_(c+1) is f[:, 0] f[:, 1] - f[:, 2] f[:, 3].
+_CROSS = np.array([[3 * a + (c + 1) % 3, 3 * b + (c + 2) % 3, 3 * a + (c + 2) % 3, 3 * b + (c + 1) % 3]
+                   for a, b in ((4, 3), (1, 2), (2, 0), (0, 1)) for c in range(3)]).T
 
-# The block skew(e) / 6 + h I_3, flattened row-major, is
-# _BLOCK_SIGN * z[_BLOCK_TAKE] for z = (e0, e1, e2, h).
-_BLOCK_TAKE = np.array([3, 2, 1, 2, 3, 0, 1, 0, 3])
-_BLOCK_SIGN = np.array([1.0, -1 / 6, 1 / 6, 1 / 6, 1.0, -1 / 6, -1 / 6, 1 / 6, 1.0])
+# grad S at p_i is 2 sum_j (p_i - p_j), a linear map of the edges
+_GRAD_S = np.kron(np.array([np.eye(4)[j] - np.eye(4)[i] for i, j in TET_EDGES]) * 2.0, np.eye(3))
+
+
+def _curvature_columns() -> np.ndarray:
+    """Column of each entry of a H_V + b H_S in the (m, 39) curvature table of `derivatives`.
+
+    Columns 3k + g and 18 + 3k + g hold +-a (p_j - p_i)_g / 6 for edge
+    k = (i, j); 36, 37 and 38 hold 6 b, -2 b and 0.  Block (i, j) of H_V is
+    the cross-product matrix of p_k - p_l over 6, for (i, j, k, l) an even
+    permutation of 0..3; it lies off the diagonal of the block, H_S on it.
+    """
+    column = np.full((12, 12), 38, dtype=np.int32)
+    for i, j, k, l in permutations(range(4)):
+        if sum(p > t for n, p in enumerate((i, j, k, l)) for t in (i, j, k, l)[n + 1:]) % 2 == 0:
+            plus = 3 * TET_EDGES.index((min(k, l), max(k, l))) + 18 * (k < l)  # +(p_k - p_l)
+            for a, b, g in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+                column[3 * i + b, 3 * j + a], column[3 * i + a, 3 * j + b] = plus + g, (plus + 18) % 36 + g
+    hess_s = np.kron(4.0 * np.eye(4) - 1.0, np.eye(3))
+    column[hess_s > 0], column[hess_s < 0] = 36, 37
+    return column
+
+
+CURVATURE_COLUMN = _curvature_columns()
+_HESS_S_VALUES = np.array([6.0, -2.0, 0.0])
+
+# `derivatives` forms rows R, L, grad S, grad q, grad S, L, c1 grad q as (7 x 2) (grad V; grad S)
+# per element, weights taken from u = (A, B, n01, n11, c1 times them, c2 times them, 1).
+_MIX = np.array([8, 9, 6, 7, 12, 12, 0, 1, 12, 12, 6, 7, 4, 5])
+_MIX_SCALE = np.array([1.0, 1.0, 1.0, 0.5, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.5, 1.0, 1.0])
+
+# Elements per pass of quality_batch and of the Hessian tables: bounds the temporaries.
+_BLOCK = 1024
+_TABLE_BLOCK = 256
 
 
 @dataclass
@@ -59,151 +98,103 @@ class QualityDiff:
     hess: np.ndarray
 
 
-@dataclass(frozen=True)
-class SlotPairs:
-    """Selected 3x3 blocks (element e, slot i, slot j) as flat gather indices.
-
-    row, col : e*4 + i and e*4 + j, rows of per-slot arrays shaped (m*4, ...)
-    edge_head, edge_tail : e*4 + k and e*4 + l, the edge of H_V's block
-    elem : e
-    hess_s : H_S's block scale for (i, j)
-    """
-
-    row: np.ndarray
-    col: np.ndarray
-    edge_head: np.ndarray
-    edge_tail: np.ndarray
-    elem: np.ndarray
-    hess_s: np.ndarray
-
-
-def slot_pairs(elem: np.ndarray, i: np.ndarray, j: np.ndarray) -> SlotPairs:
-    """Index the blocks (elem[p], i[p], j[p]) for `HessianFactors.blocks`."""
-    base = 4 * elem
-    return SlotPairs(row=base + i, col=base + j,
-                     edge_head=base + _EDGE_HEAD[i, j], edge_tail=base + _EDGE_TAIL[i, j],
-                     elem=elem, hess_s=_HESS_S_BLOCK[i, j])
-
-
 @dataclass
-class HessianFactors:
-    """Per-element Hessians w0 H_V + w1 H_S + G n G^T, G = [grad V  grad S].
+class QualityTerms:
+    """Per-element q (m,), grads (m, 2, 12) = (grad V, grad S) and coef (m, 4) = (A, B, n01, n11)."""
 
-    points : (m, 4, 3) element vertices, from which H_V's blocks are built
-    grads : (m, 4, 2, 3) per vertex slot i, G_i^T: the slot's part of
-        grad V and of grad S
-    w : (m, 2) scales of H_V and H_S
-    n : (m, 2, 2) symmetric
-    """
-
-    points: np.ndarray
+    q: np.ndarray
     grads: np.ndarray
-    w: np.ndarray
-    n: np.ndarray
-
-    def chain(self, c1: np.ndarray, c2: np.ndarray) -> "HessianFactors":
-        """Factors of the Hessian of f(q) with f'(q) = c1, f''(q) = c2 per element.
-
-        That Hessian is c2 grad q grad q^T + c1 Hess q.  Valid for the
-        factors of q itself, whose w is also its gradient coefficients
-        (grad q = G w), so grad q grad q^T = G w w^T G^T.
-        """
-        w = self.w
-        n = c2[:, None, None] * (w[:, :, None] * w[:, None, :]) + c1[:, None, None] * self.n
-        return HessianFactors(points=self.points, grads=self.grads, w=c1[:, None] * w, n=n)
-
-    def blocks(self, pairs: SlotPairs) -> np.ndarray:
-        """The selected 3x3 blocks, shaped (len(pairs.row), 3, 3)."""
-        # G_i n G_j^T = (n G_i^T)^T G_j^T, n being symmetric
-        left = np.matmul(self.n[:, None], self.grads).reshape(-1, 2, 3)[pairs.row]
-        out = np.matmul(left.transpose(0, 2, 1), self.grads.reshape(-1, 2, 3)[pairs.col])
-        p = self.points.reshape(-1, 3)
-        z = np.empty((len(pairs.row), 4))
-        z[:, :3] = p[pairs.edge_head] - p[pairs.edge_tail]
-        z[:, :3] *= self.w[pairs.elem, :1]
-        z[:, 3] = self.w[pairs.elem, 1] * pairs.hess_s
-        flat = out.reshape(-1, 9)
-        flat += z[:, _BLOCK_TAKE] * _BLOCK_SIGN
-        return out
-
-    def expand(self) -> np.ndarray:
-        """The full symmetric Hessians, (m, 12, 12)."""
-        m = len(self.w)
-        elem = np.repeat(np.arange(m), 16)
-        i = np.tile(np.repeat(np.arange(4), 4), m)
-        j = np.tile(np.arange(4), 4 * m)
-        blk = self.blocks(slot_pairs(elem, i, j)).reshape(m, 4, 4, 3, 3)
-        return blk.transpose(0, 1, 3, 2, 4).reshape(m, 12, 12)
+    coef: np.ndarray
 
 
-def _edge_vectors(points: np.ndarray):
-    return points[:, 1] - points[:, 0], points[:, 2] - points[:, 0], points[:, 3] - points[:, 0]
+def _edges(points: np.ndarray) -> np.ndarray:
+    x = np.asarray(points, dtype=np.float64).reshape(-1, 12)
+    edges = x[:, _ENDPOINTS[0]]
+    edges -= x[:, _ENDPOINTS[1]]
+    return edges
 
 
-def _edge_sq_sum(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Sum of the six squared edge lengths from the three edges at p0."""
-    uv = v - u
-    uw = w - u
-    vw = w - v
-    return (
-        np.einsum("ij,ij->i", u, u) + np.einsum("ij,ij->i", v, v)
-        + np.einsum("ij,ij->i", w, w) + np.einsum("ij,ij->i", uv, uv)
-        + np.einsum("ij,ij->i", uw, uw) + np.einsum("ij,ij->i", vw, vw)
-    )
+def _cross(edges: np.ndarray, columns: slice) -> np.ndarray:
+    """6 grad V at the given columns of the 12."""
+    f = edges[:, _CROSS[:, columns]]
+    return f[:, 0] * f[:, 1] - f[:, 2] * f[:, 3]
+
+
+def _volume_quality(edges: np.ndarray, cross1: np.ndarray):
+    """V, S, S^(3/2) and q: the one path to q (S sums per edge: one 18-term sum is less accurate)."""
+    vol = (edges[:, :3] * cross1).sum(axis=1) / 6.0
+    by_edge = edges.reshape(-1, 6, 3)
+    ssum = np.einsum("ijk,ijk->ij", by_edge, by_edge).sum(axis=1)
+    s32 = np.power(ssum, 1.5)
+    return vol, ssum, s32, QCOEF * vol / s32
 
 
 def quality_batch(points: np.ndarray) -> np.ndarray:
-    """Volume-length quality for each tet in an (m, 4, 3) array.
+    """Volume-length quality for each tet of an (m, 12) or (m, 4, 3) array.
 
     Rows with all vertices coincident produce NaN.
     """
-    points = np.asarray(points, dtype=np.float64)
-    u, v, w = _edge_vectors(points)
-    vol = np.einsum("ij,ij->i", u, _cross(v, w)) / 6.0
-    ssum = _edge_sq_sum(u, v, w)
+    x = np.asarray(points, dtype=np.float64).reshape(-1, 12)
+    if len(x) > _BLOCK:
+        return np.concatenate([quality_batch(x[i:i + _BLOCK]) for i in range(0, len(x), _BLOCK)])
+    edges = _edges(x)
     with np.errstate(invalid="ignore", divide="ignore"):
-        return QCOEF * vol / np.power(ssum, 1.5)
+        return _volume_quality(edges, _cross(edges, slice(3, 6)))[3]
 
 
-def quality_diff_batch(points: np.ndarray):
-    """Quality (m,), gradient (m, 12) and factored Hessian per tet.
+def quality_diff_batch(points: np.ndarray) -> QualityTerms:
+    """Quality, grad V, grad S and the coefficients A, B, n01, n11 per tet."""
+    edges = _edges(points)
+    cross = _cross(edges, slice(None))
+    grads = np.empty((len(edges), 2, 12))
+    np.divide(cross, 6.0, out=grads[:, 0])
+    np.matmul(edges, _GRAD_S, out=grads[:, 1])
+    coef = np.empty((len(edges), 4))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        vol, ssum, s32, q = _volume_quality(edges, cross[:, 3:6])
+        np.divide(QCOEF, s32, out=coef[:, 0])
+        np.multiply(-1.5 / ssum, coef[:, 0], out=coef[:, 2])
+        np.multiply(coef[:, 2], vol, out=coef[:, 1])
+        np.multiply(-2.5 / ssum, coef[:, 1], out=coef[:, 3])
+    return QualityTerms(q=q, grads=grads, coef=coef)
 
-    The Hessian comes back as `HessianFactors`; nothing is built per 3x3
-    block until a caller asks for the blocks it needs.
+
+def derivatives(points: np.ndarray, terms: QualityTerms, c1: np.ndarray, c2: np.ndarray,
+                entry: np.ndarray, curv: np.ndarray):
+    """Gradient c1 grad q (m, 12) and Hessian entries of f(q) per element, f' = c1, f'' = c2.
+
+    points are the (m, 12) coordinates `terms` came from.  The entries, by
+    the module docstring's formula, are those at entry = 144 e + 12 r + c
+    (sorted), with curv = 39 e + CURVATURE_COLUMN[r, c].
     """
-    points = np.asarray(points, dtype=np.float64)
-    m = len(points)
-    u, v, w = _edge_vectors(points)
-    gv = np.empty((m, 4, 3))
-    gv[:, 1] = _cross(v, w) / 6.0
-    gv[:, 2] = _cross(w, u) / 6.0
-    gv[:, 3] = _cross(u, v) / 6.0
-    gv[:, 0] = -(gv[:, 1] + gv[:, 2] + gv[:, 3])
-    gs = 2.0 * (4.0 * points - points.sum(axis=1, keepdims=True))
-    grads = np.empty((m, 4, 2, 3))
-    grads[:, :, 0] = gv
-    grads[:, :, 1] = gs
-    vol = np.einsum("ij,ij->i", u, gv[:, 1])
-    ssum = _edge_sq_sum(u, v, w)
-    coef = np.empty((m, 2))
-    n = np.empty((m, 2, 2))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s32 = np.power(ssum, -1.5)
-        s52 = s32 / ssum
-        coef[:, 0] = QCOEF * s32
-        coef[:, 1] = -1.5 * QCOEF * vol * s52
-        n[:, 0, 0] = 0.0
-        n[:, 0, 1] = n[:, 1, 0] = -1.5 * QCOEF * s52
-        n[:, 1, 1] = 3.75 * QCOEF * vol * (s52 / ssum)
-        q = coef[:, 0] * vol
-        grad = (coef[:, 0, None, None] * gv + coef[:, 1, None, None] * gs).reshape(m, 12)
-    return q, grad, HessianFactors(points=points, grads=grads, w=coef, n=n)
+    m = len(c1)
+    u = np.empty((m, 13))
+    u[:, :4] = terms.coef
+    np.multiply(c1[:, None], terms.coef, out=u[:, 4:8])
+    np.multiply(c2[:, None], terms.coef, out=u[:, 8:12])
+    u[:, 12] = 1.0
+    mix = (u[:, _MIX] * _MIX_SCALE).reshape(m, 7, 2)
+    grad, products = np.empty((m, 12)), np.empty(len(entry))
+    # entry is sorted, so the entries of each block of elements are one slice of it
+    cuts = (0, len(entry)) if m <= _TABLE_BLOCK else \
+        np.searchsorted(entry, 144 * np.arange(0, m + _TABLE_BLOCK, _TABLE_BLOCK))
+    for k, e0 in enumerate(range(0, m, _TABLE_BLOCK)):
+        rows = np.matmul(mix[e0:e0 + _TABLE_BLOCK], terms.grads[e0:e0 + _TABLE_BLOCK])
+        grad[e0:e0 + _TABLE_BLOCK] = rows[:, 6]
+        table = np.matmul(rows[:, :3].transpose(0, 2, 1), rows[:, 3:6])
+        block = entry[cuts[k]:cuts[k + 1]]
+        products[cuts[k]:cuts[k + 1]] = table.take(block - 144 * e0 if e0 else block)
+    curvature = np.empty((m, 39))
+    np.multiply(_edges(points), u[:, 4:5] / 6.0, out=curvature[:, :18])
+    np.negative(curvature[:, :18], out=curvature[:, 18:36])
+    np.multiply(u[:, 5:6], _HESS_S_VALUES, out=curvature[:, 36:])
+    products += curvature.take(curv)
+    return grad, products
 
 
 def volume_length_quality(p0, p1, p2, p3) -> float:
     """Quality of one tet; raises DegenerateTetError if all vertices coincide."""
-    points = np.asarray([p0, p1, p2, p3], dtype=np.float64)[None]
-    q = quality_batch(points)[0]
+    q = quality_batch(np.asarray([p0, p1, p2, p3], dtype=np.float64))[0]
     if not np.isfinite(q):
         raise DegenerateTetError("quality undefined: all vertices coincident")
     return float(q)
@@ -211,8 +202,9 @@ def volume_length_quality(p0, p1, p2, p3) -> float:
 
 def volume_length_diff(p0, p1, p2, p3) -> QualityDiff:
     """Quality with analytic first and second derivatives for one tet."""
-    points = np.asarray([p0, p1, p2, p3], dtype=np.float64)[None]
-    q, grad, hess = quality_diff_batch(points)
-    if not np.isfinite(q[0]):
+    points = np.asarray([p0, p1, p2, p3], dtype=np.float64).reshape(1, 12)
+    terms = quality_diff_batch(points)
+    if not np.isfinite(terms.q[0]):
         raise DegenerateTetError("quality undefined: all vertices coincident")
-    return QualityDiff(q=float(q[0]), grad=grad[0], hess=hess.expand()[0])
+    grad, hess = derivatives(points, terms, np.ones(1), np.zeros(1), np.arange(144), CURVATURE_COLUMN.reshape(-1))
+    return QualityDiff(q=float(terms.q[0]), grad=grad[0], hess=hess.reshape(12, 12))

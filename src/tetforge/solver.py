@@ -15,6 +15,7 @@ while gamma >= 0.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,19 +70,23 @@ def newton_direction(S: np.ndarray, f: np.ndarray):
     is finite and downhill; NoProgressError is raised when none is.  Returns
     (dX, tau), the pair a walk up the ladder one entry at a time would give.
 
-    S is factored unshifted first.  If that fails, the first shifted entry
-    that factors is found by bisection, which assumes that once S + tau I
-    factors so does every larger shift (true in exact arithmetic, as the
-    shift raises every eigenvalue).  The factor of the lowest success is
+    S is factored unshifted first; only if that fails, or its step does, is
+    the ladder built and the first shifted entry that factors found by
+    bisection, which assumes that once S + tau I factors so does every
+    larger shift (true in exact arithmetic, as the shift raises every
+    eigenvalue).  The factor of the lowest success is
     kept, so no entry is factored twice.  If its step fails the finiteness
     or descent check, the entries above it are tried one by one.
     """
-    n = len(f)
-    if n == 0:
+    if len(f) == 0:
         return np.zeros(0), 0.0
+    cho = _factor(S, 0.0)
+    dx = None if cho is None else _descent_step(cho, f)
+    if dx is not None:
+        return dx, 0.0
     scale = float(np.abs(np.diag(S)).max()) or 1.0
     shifts = [0.0] + [10.0 ** k * scale for k in range(-12, MAX_SHIFT_EXP + 1)]
-    found, cho = 0, _factor(S, 0.0)  # ladder index of cho
+    found = 0  # ladder index of cho
     if cho is None:
         lo, hi = 1, len(shifts)
         while lo < hi:
@@ -92,8 +97,7 @@ def newton_direction(S: np.ndarray, f: np.ndarray):
             else:
                 hi, cho = mid, trial
         found = hi
-    if cho is not None:
-        dx = _descent_step(cho, f)
+        dx = None if cho is None else _descent_step(cho, f)
         if dx is not None:
             return dx, shifts[found]
     for k in range(found + 1, len(shifts)):
@@ -115,29 +119,30 @@ def line_search(mesh, patch, system: PatchSystem, direction: np.ndarray,
     (alpha, violations, new_objective, min_ring_quality); alpha == 0.0 means
     the step was rejected below 2^-20 and the mesh is untouched.
     """
-    free = system.plan.free
-    ring_tets = system.plan.tets
-    step = direction.reshape(-1, 3)
-    if len(free) == 0 or float(np.linalg.norm(direction)) == 0.0:
-        q = quality_batch(mesh.vertices[ring_tets])
+    plan = system.plan
+    if len(plan.free) == 0 or not direction.any():
+        q = quality_batch(mesh.vertices.take(plan.coords))
         return 1.0, 0, system.objective, float(q.min()) if len(q) else np.inf
 
-    base = mesh.vertices[free].copy()
+    # trials move the ring coordinates (step 0 where fixed); acceptance writes the same bits to the mesh
+    start = mesh.vertices.take(plan.coords)
+    step = np.zeros_like(start)
+    step.reshape(-1)[plan.grad_index] = direction[plan.grad_dof]
     slope = float(system.f @ direction)
     violations = 0
     alpha = 1.0
     while alpha >= MIN_ALPHA:
-        mesh.vertices[free] = base + alpha * step
-        q = quality_batch(mesh.vertices[ring_tets])
-        if not np.all(np.isfinite(q)) or q.min() <= params.gamma:
+        q = quality_batch(start + alpha * step)
+        q_min = q.min()
+        if not q_min > params.gamma:  # also when some q is NaN
             violations += 1
             alpha *= 0.5
             continue
         obj = float(barrier_values_batch(q, params.gamma).sum())
         if obj <= system.objective + ARMIJO_C * alpha * slope:
-            return alpha, violations, obj, float(q.min())
+            mesh.vertices[plan.free] += alpha * direction.reshape(-1, 3)
+            return alpha, violations, obj, float(q_min)
         alpha *= 0.5
-    mesh.vertices[free] = base
     return 0.0, violations, system.objective, np.inf
 
 
@@ -166,7 +171,7 @@ def optimize_patch(mesh, patch, params: BarrierParams,
             S_eff, f_eff = project_system(system.S, system.f, constraints.frames, constraints.keep)
         else:
             S_eff, f_eff = system.S, system.f
-        if float(np.linalg.norm(f_eff)) <= GRAD_TOL * max(1.0, abs(system.objective)):
+        if math.sqrt(f_eff @ f_eff) <= GRAD_TOL * max(1.0, abs(system.objective)):
             break
         try:
             dx, tau = newton_direction(S_eff, f_eff)
@@ -184,12 +189,12 @@ def optimize_patch(mesh, patch, params: BarrierParams,
             # to within about m ulps of the objective; a predicted decrease
             # below that cannot pass it: the patch has converged, not stalled.
             converged = violations == 0 and \
-                abs(predicted) <= np.finfo(float).eps * len(plan.tets) * max(1.0, abs(system.objective))
+                abs(predicted) <= np.finfo(float).eps * len(plan.ring) * max(1.0, abs(system.objective))
             report.stalled = not converged
             break
         report.iterations += 1
         report.objective = obj
         report.min_quality = min(report.min_quality, min_q)
-        if alpha * float(np.linalg.norm(dx)) <= STEP_TOL:
+        if alpha * math.sqrt(dx @ dx) <= STEP_TOL:
             break
     return report

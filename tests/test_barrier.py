@@ -15,7 +15,7 @@ from tetforge.barrier import (
 from tetforge.driver import Patch, select_patches
 from tetforge.errors import BarrierViolationError
 from tetforge.fixtures import generate_test_mesh
-from tetforge.mesh import VertexClass
+from tetforge.mesh import TetMesh, VertexClass
 from tetforge.quality import quality_batch, volume_length_diff
 from tetforge.topology import build_topology
 
@@ -274,3 +274,17 @@ def test_barrier_params_validation():
         BarrierParams(b=0.8, q_min=0.5, gamma=0.5)
     with pytest.raises(ValueError):
         BarrierParams(b=1.5, q_min=0.5, gamma=0.1)
+
+
+@pytest.mark.parametrize("mask", range(16))
+def test_every_free_slot_pattern_of_one_tet_matches_dense_sum(mask):
+    rng = np.random.default_rng(mask)
+    mesh = TetMesh(vertices=random_tet(rng, min_volume=1e-2) + SHIFT, tets=np.array([[0, 1, 2, 3]]))
+    free = np.flatnonzero((mask >> np.arange(4)) & 1)
+    patch = Patch(seed_tets=np.array([0]), free_vertices=free, ring_tets=np.array([0]))
+    params = BarrierParams.from_quality(float(quality_batch(mesh.tet_points()).min()), 0.8)
+    system = assemble_patch_system(mesh, patch, params)
+    S, f = _dense_patch_system(mesh, patch, params.gamma)
+    assert system.S.shape == S.shape == (3 * len(free), 3 * len(free))
+    assert np.linalg.norm(system.S - S) <= 1e-13 * np.linalg.norm(S)
+    assert np.linalg.norm(system.f - f) <= 1e-13 * np.linalg.norm(f)

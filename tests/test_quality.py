@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetforge.errors import DegenerateTetError
-from tetforge.quality import quality_batch, volume_length_diff, volume_length_quality
+from tetforge.quality import quality_batch, quality_diff_batch, volume_length_diff, volume_length_quality
 
 from conftest import fd_gradient, fd_hessian, random_tet
 
@@ -113,3 +113,25 @@ def test_batch_matches_scalar(rng):
     qb = quality_batch(pts)
     for i in range(8):
         assert qb[i] == pytest.approx(volume_length_quality(*pts[i]), rel=1e-14)
+
+
+def _kernel_cases(rng):
+    regular = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, np.sqrt(3.0) / 2.0, 0.0],
+                        [0.5, np.sqrt(3.0) / 6.0, np.sqrt(6.0) / 3.0]])
+    sliver = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 1e-7], [0.0, 1.0, 0.0]])
+    tets = [rng.random((200, 4, 3)), (regular + rng.normal(scale=1e-3, size=(50, 4, 3))),
+            sliver + rng.normal(scale=1e-9, size=(50, 4, 3))]
+    tets.append(tets[0][:, [0, 2, 1, 3]])  # inverted
+    points = np.concatenate(tets)
+    return [points, points + np.array([1e3, -1e3, 1e3])]
+
+
+def test_quality_batch_is_the_kernels_quality_to_the_bit(rng):
+    for points in _kernel_cases(rng):
+        q = quality_diff_batch(points).q
+        assert (q < 0).any() and (np.abs(q) < 1e-5).any()
+        assert np.array_equal(quality_batch(points), q)
+        assert np.array_equal(quality_batch(points.reshape(-1, 12)), q)
+        # a whole-mesh call runs in blocks; each element's q is unchanged
+        assert np.array_equal(quality_batch(np.concatenate([points] * 9)), np.concatenate([q] * 9))
+

@@ -1,0 +1,83 @@
+"""Properties of whole runs over random fixtures, through the library and the CLI.
+
+Each example writes one fixture to a Medit file, improves it in process
+and through `run_cli` with the same settings, and checks:
+
+- no accepted step takes a valid input below quality 0;
+- without surface motion the volume does not drift;
+- the two runs give the same vertices bit for bit;
+- the CLI's --report JSON parses back to the in-process report.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from tetforge import RunConfig, build_topology, generate_test_mesh, load_mesh, optimize_mesh, save_mesh
+from tetforge.cli import run_cli
+from tetforge.fixtures import KINDS
+from tetforge.quality import quality_batch
+
+
+@st.composite
+def runs(draw):
+    mode = draw(st.sampled_from(["selective", "all-patches"]))
+    # all-patches solves every tet in every pass: the 48-tet grids and one
+    # barrier constant keep such an example to a fraction of a second
+    if mode == "all-patches":
+        kind, n = draw(st.sampled_from([k for k in KINDS if k != "sphere"])), 2
+    else:
+        kind = draw(st.sampled_from(KINDS))
+        n = draw(st.integers(2, 3 if kind == "sphere" else 4))
+    spec = dict(kind=kind, n=n, seed=draw(st.integers(0, 2 ** 16)), jitter=draw(st.floats(0.0, 0.3)),
+                k=draw(st.integers(1, 2)))
+    config = RunConfig(mode=mode, surface_motion=draw(st.booleans()), target_quality=draw(st.floats(0.3, 0.9)),
+                       max_passes=4, b_schedule=(0.85,) if mode == "all-patches" else RunConfig().b_schedule)
+    return spec, config
+
+
+def _cli_args(config):
+    args = ["--target-quality", repr(config.target_quality), "--max-passes", str(config.max_passes),
+            "--barrier-schedule", ",".join(repr(b) for b in config.b_schedule)]
+    if config.mode == "all-patches":
+        args.append("--all-patches")
+    if not config.surface_motion:
+        args.append("--no-surface-motion")
+    return args
+
+
+def _without_timings(report: dict) -> str:
+    report = dict(report, elapsed_s=None, passes=[dict(p, elapsed_s=None) for p in report["passes"]])
+    return json.dumps(report, sort_keys=True)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(runs())
+def test_runs_keep_their_guarantees(run):
+    spec, config = run
+    try:
+        fixture = generate_test_mesh(**spec)
+    except ValueError:  # too few interior vertices to seed the bad elements
+        assume(False)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_mesh(fixture, tmp / "in.mesh")
+        mesh = load_mesh(tmp / "in.mesh")
+        valid = float(np.nanmin(quality_batch(mesh.tet_points()))) > 0.0
+        report = optimize_mesh(mesh, config, adjacency=build_topology(mesh, config.feature_angle_deg))
+
+        if valid:
+            assert report.min_quality_seen > 0.0
+            assert report.final_metrics.q_min > 0.0
+        if not config.surface_motion:
+            assert report.volume_drift_percent == 0.0
+
+        assert run_cli([str(tmp / "in.mesh"), "-o", str(tmp / "out.mesh"), "--report", str(tmp / "report.json")]
+                       + _cli_args(config)) == 0
+        assert np.array_equal(load_mesh(tmp / "out.mesh").vertices, mesh.vertices)
+        written = json.loads((tmp / "report.json").read_text())
+        assert _without_timings(written) == _without_timings(report.to_dict())
