@@ -143,13 +143,27 @@ def _medit_count(cursor: _Lines, tokens, lineno: int, keyword: str) -> int:
         if nxt is None:
             raise MeshFormatError(f"missing count after {keyword!r}", line=lineno)
         value = nxt[0]
+    return _parse_count(value, keyword, where)
+
+
+def _parse_count(value: str, keyword: str, lineno: int, name: str = "count") -> int:
+    """A section header's count, a non-negative integer."""
     try:
         count = int(value)
     except ValueError:
         count = -1
     if count < 0:
-        raise MeshFormatError(f"bad count {value!r} after {keyword!r}", line=where)
+        raise MeshFormatError(f"bad {name} {value!r} after {keyword!r}", line=lineno)
     return count
+
+
+def _loadtxt(rows, dtype, **kwargs):
+    """np.loadtxt of whitespace-separated rows without comments, raising ValueError on any bad field."""
+    with warnings.catch_warnings():
+        # numpy releases that still parse an integer field such as '1.5' via
+        # a float and truncate it only warn; make that a parse error
+        warnings.filterwarnings("error", message=".*integer via a float", category=DeprecationWarning)
+        return np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1, **kwargs)
 
 
 def _parse_records(rows, width: int, dtype):
@@ -164,12 +178,7 @@ def _parse_records(rows, width: int, dtype):
     record = np.dtype([("fields", dtype, (width,)), ("ref", np.float64)])
     # the appended 0 is the ref of a row that has none, and an ignored
     # extra field of a row that has one
-    with warnings.catch_warnings():
-        # numpy releases that still parse an integer field such as '1.5' via
-        # a float and truncate it only warn; make that a parse error
-        warnings.filterwarnings("error", message=".*integer via a float", category=DeprecationWarning)
-        table = np.loadtxt([row + " 0" for row in rows], dtype=record, usecols=range(width + 1),
-                           comments=None, ndmin=1)
+    table = _loadtxt([row + " 0" for row in rows], record, usecols=range(width + 1))
     refs = table["ref"]
     if not np.all(np.abs(refs) < 2.0 ** 63):
         raise ValueError("ref is not a finite int64")
@@ -267,6 +276,60 @@ def _format_medit(mesh: TetMesh):
 
 # --- VTK legacy ----------------------------------------------------------
 
+def _vtk_count(tokens, lineno: int, k: int, name: str = "count") -> int:
+    """Token k of a VTK section header line, a non-negative integer."""
+    if len(tokens) <= k:
+        raise MeshFormatError(f"missing {name} after {tokens[0]!r}", line=lineno)
+    return _parse_count(tokens[k], tokens[0], lineno, name)
+
+
+def _vtk_values(cursor: _Lines, rows: int, count: int, dtype, what: str) -> np.ndarray:
+    """The next count values of a VTK section, flat, in file order.
+
+    Values may wrap across lines in any way.  The next rows lines, which
+    hold count values when the section has one record a line, are parsed in
+    one go; when they hold another number of values or one does not parse,
+    the section is read again a line at a time to name the bad line.
+    """
+    mark = cursor.taken, cursor.pos
+    lines, _ = cursor.records(rows)
+    try:
+        values = _loadtxt([" ".join(lines)], dtype) if lines else np.zeros(0, dtype=dtype)
+        if len(values) == count:
+            return values
+    except ValueError:
+        pass
+    cursor.taken, cursor.pos = mark
+    parts, read = [np.zeros(0, dtype=dtype)], 0
+    while read < count:
+        tokens, lineno = cursor.next_tokens()
+        if tokens is None:
+            raise MeshFormatError(f"unexpected end of file inside {what}", line=lineno)
+        try:
+            parts.append(np.array(tokens, dtype=dtype))  # float() / int() of each token
+        except (ValueError, OverflowError):
+            raise MeshFormatError(f"malformed {what} value", line=lineno) from None
+        read += len(tokens)
+    if read > count:
+        raise MeshFormatError(f"too many values in {what}", line=cursor.pos)
+    return np.concatenate(parts)
+
+
+def _cell_starts(flat: np.ndarray, ncells: int):
+    """Offsets in flat of ncells records, each a size n and n point ids.
+
+    None when the records do not tile flat exactly.
+    """
+    sizes = flat.tolist()
+    starts, pos = [], 0
+    for _ in range(ncells):
+        if pos >= len(sizes) or sizes[pos] < 0:
+            return None
+        starts.append(pos)
+        pos += 1 + sizes[pos]
+    return np.array(starts, dtype=np.int64) if pos == len(sizes) else None
+
+
 def _load_vtk(path) -> TetMesh:
     cursor = _Lines(path, strip_comments=False)
     header, lineno = cursor.next_tokens()
@@ -280,64 +343,44 @@ def _load_vtk(path) -> TetMesh:
     if dataset is None or dataset[:2] != ["DATASET", "UNSTRUCTURED_GRID"]:
         raise MeshFormatError("expected 'DATASET UNSTRUCTURED_GRID'", line=lineno)
 
-    def read_values(count, kind, what):
-        vals = []
-        while len(vals) < count:
-            tokens, ln = cursor.next_tokens()
-            if tokens is None:
-                raise MeshFormatError(f"unexpected end of file inside {what}", line=ln)
-            try:
-                vals.extend(float(t) if kind == "float" else int(t) for t in tokens)
-            except ValueError:
-                raise MeshFormatError(f"malformed {what} value", line=ln) from None
-        if len(vals) > count:
-            raise MeshFormatError(f"too many values in {what}", line=cursor.pos)
-        return vals
-
     tokens, lineno = cursor.next_tokens()
     if tokens is None or tokens[0] != "POINTS":
         raise MeshFormatError("expected POINTS section", line=lineno)
-    npts = int(tokens[1])
-    vertices = np.array(read_values(3 * npts, "float", "POINTS")).reshape(npts, 3)
+    npts = _vtk_count(tokens, lineno, 1)
+    vertices = _vtk_values(cursor, npts, 3 * npts, np.float64, "POINTS").reshape(npts, 3)
 
     tokens, lineno = cursor.next_tokens()
     if tokens is None or tokens[0] != "CELLS":
         raise MeshFormatError("expected CELLS section", line=lineno)
-    ncells, nints = int(tokens[1]), int(tokens[2])
-    flat = read_values(nints, "int", "CELLS")
-    cells, pos = [], 0
-    for _ in range(ncells):
-        k = flat[pos]
-        cells.append(flat[pos + 1:pos + 1 + k])
-        pos += 1 + k
-    if pos != nints:
+    ncells, nints = _vtk_count(tokens, lineno, 1), _vtk_count(tokens, lineno, 2, "size")
+    flat = _vtk_values(cursor, ncells, nints, np.int64, "CELLS")
+    starts = _cell_starts(flat, ncells)
+    if starts is None:
         raise MeshFormatError("CELLS size field disagrees with cell records", line=cursor.pos)
 
     tokens, lineno = cursor.next_tokens()
     if tokens is None or tokens[0] != "CELL_TYPES":
         raise MeshFormatError("expected CELL_TYPES section", line=lineno)
-    types = read_values(int(tokens[1]), "int", "CELL_TYPES")
-    if len(types) != ncells:
+    ntypes = _vtk_count(tokens, lineno, 1)
+    types = _vtk_values(cursor, ntypes, ntypes, np.int64, "CELL_TYPES")
+    if ntypes != ncells:
         raise MeshFormatError("CELL_TYPES count disagrees with CELLS", line=lineno)
 
-    tets, tris = [], []
-    for cell, ctype in zip(cells, types):
-        if ctype == _VTK_TET:
-            if len(cell) != 4:
-                raise MeshFormatError("tetra cell without 4 points", line=lineno)
-            tets.append(cell)
-        elif ctype == _VTK_TRI:
-            if len(cell) != 3:
-                raise MeshFormatError("triangle cell without 3 points", line=lineno)
-            tris.append(cell)
-        else:
-            raise MeshFormatError(f"unsupported VTK cell type {ctype}", line=lineno)
-    tets = np.asarray(tets, dtype=np.int64).reshape(-1, 4)
-    tris = np.asarray(tris, dtype=np.int64).reshape(-1, 3)
-    if tets.size and (tets.min() < 0 or tets.max() >= npts):
-        raise MeshFormatError(f"cell vertex index out of range 0..{npts - 1}", line=lineno)
-    if tris.size and (tris.min() < 0 or tris.max() >= npts):
-        raise MeshFormatError(f"cell vertex index out of range 0..{npts - 1}", line=lineno)
+    sizes = flat[starts]
+    is_tet, is_tri = types == _VTK_TET, types == _VTK_TRI
+    bad = ~((is_tet & (sizes == 4)) | (is_tri & (sizes == 3)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if is_tet[i]:
+            raise MeshFormatError("tetra cell without 4 points", line=lineno)
+        if is_tri[i]:
+            raise MeshFormatError("triangle cell without 3 points", line=lineno)
+        raise MeshFormatError(f"unsupported VTK cell type {types[i]}", line=lineno)
+    tets = flat[starts[is_tet, None] + np.arange(1, 5)]
+    tris = flat[starts[is_tri, None] + np.arange(1, 4)]
+    for cells in (tets, tris):
+        if cells.size and (cells.min() < 0 or cells.max() >= npts):
+            raise MeshFormatError(f"cell vertex index out of range 0..{npts - 1}", line=lineno)
     return TetMesh(vertices=vertices, tets=tets, surface_tris=tris)
 
 

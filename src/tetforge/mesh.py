@@ -103,8 +103,7 @@ class TetMesh:
         if self.num_tets:
             if self.tets.min() < 0 or self.tets.max() >= nv:
                 raise MeshStructureError("tet vertex index out of range")
-            sorted_tets = np.sort(self.tets, axis=1)
-            if np.any(sorted_tets[:, :-1] == sorted_tets[:, 1:]):
+            if any(np.any(self.tets[:, i] == self.tets[:, j]) for i, j in TET_EDGES):
                 raise MeshStructureError("tet with repeated vertex")
             from tetforge.quality import quality_batch  # quality imports this module
 
@@ -136,14 +135,30 @@ def group_faces(faces: np.ndarray) -> tuple:
 
     Returns (order, starts, counts): faces[order] lists the copies of each
     distinct triangle next to each other, the copies of group g being
-    faces[order[starts[g]:starts[g] + counts[g]]].  faces must not be empty.
+    faces[order[starts[g]:starts[g] + counts[g]]].  Groups come in the
+    lexicographic order of their sorted vertex ids; the order of the copies
+    inside a group is unspecified.  faces must not be empty.
+
+    Each face gets one int64 key.  With its ids ordered k0 <= k1 <= k2 and
+    nv the largest id plus one, the key is rank * nv + k2, where rank numbers
+    the distinct (k0, k1) pairs in increasing order of k0 * nv + k1.  Keys
+    order faces as their sorted ids do and are exact while nv**2 and
+    len(faces) * nv stay below 2**63, far past any mesh that fits in memory.
     """
-    keys = np.sort(faces, axis=1)
-    # Sorting the faces lexicographically by their sorted vertex ids puts
-    # copies of one face next to each other.
-    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
-    ordered = keys[order]
-    starts = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
+    a, b, c = np.ascontiguousarray(faces.T)
+    k0 = np.minimum(np.minimum(a, b), c)
+    k2 = np.maximum(np.maximum(a, b), c)
+    k1 = a + b + c - k0 - k2
+    nv = int(k2.max()) + 1
+    pair = k0 * nv + k1
+    by_pair = np.argsort(pair)
+    pair = pair[by_pair]
+    rank = np.empty_like(pair)
+    rank[by_pair] = np.cumsum(np.r_[True, pair[1:] != pair[:-1]]) - 1
+    key = rank * nv + k2
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     return order, starts, np.diff(np.r_[starts, len(order)])
 
 

@@ -141,3 +141,18 @@ def test_collapsed_tet_exit_2_names_it(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "tet 100 is degenerate" in err
     assert "barrier" not in err
+
+
+@pytest.mark.parametrize("header,bad,message", [
+    ("POINTS 4 double", "POINTS abc double", "bad count 'abc' after 'POINTS' (line 5)"),
+    ("CELLS 1 5", "CELLS 1", "missing size after 'CELLS' (line 10)"),
+    ("CELL_TYPES 1", "CELL_TYPES -1", "bad count '-1' after 'CELL_TYPES' (line 12)"),
+], ids=["points", "cells", "cell-types"])
+def test_bad_vtk_header_count_exit_1(tmp_path, capsys, header, bad, message):
+    text = ("# vtk DataFile Version 3.0\nt\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+            "POINTS 4 double\n0 0 0\n1 0 0\n0 1 0\n0 0 1\nCELLS 1 5\n4 0 1 2 3\nCELL_TYPES 1\n10\n")
+    assert text.count(header) == 1
+    path = tmp_path / "bad.vtk"
+    path.write_text(text.replace(header, bad))
+    assert run_cli([str(path), "-o", str(tmp_path / "out.mesh")]) == 1
+    assert capsys.readouterr().err == f"tetforge: {message}\n"

@@ -1,5 +1,5 @@
-"""Medit reader behaviour, pinned line by line, and the block writers against
-a row-by-row f-string reference."""
+"""Medit and VTK reader behaviour, pinned line by line, and the block writers
+against a row-by-row f-string reference."""
 
 import warnings
 
@@ -140,6 +140,119 @@ def test_medit_reader_reports_first_bad_record(tmp_path):
     with pytest.raises(MeshFormatError) as info:
         load_mesh(_write(tmp_path, text))
     assert str(info.value) == "malformed 'Tetrahedra' record (line 27)"
+
+
+# --- VTK reader ----------------------------------------------------------------
+
+# Two tets sharing the face (1, 2, 3) and two triangles, laid out as the
+# writer lays them out: one record a line.
+VTK = """\
+# vtk DataFile Version 3.0
+two tets
+ASCII
+DATASET UNSTRUCTURED_GRID
+POINTS 5 double
+0 0 0
+1 0 0
+0 1 0
+0 0 1
+1 1 1
+CELLS 4 18
+4 0 1 2 3
+4 1 2 3 4
+3 0 1 2
+3 1 3 2
+CELL_TYPES 4
+10
+10
+5
+5
+"""
+
+
+def _vtk_mesh_lists(mesh):
+    return mesh.vertices.tolist(), mesh.tets.tolist(), mesh.surface_tris.tolist()
+
+
+def test_vtk_reader_reads_records(tmp_path):
+    mesh = load_mesh(_write(tmp_path, VTK, "in.vtk"))
+    assert _vtk_mesh_lists(mesh) == (
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], [[0, 1, 2, 3], [1, 2, 3, 4]], [[0, 1, 2], [1, 3, 2]])
+    assert mesh.vertices.dtype == np.float64 and mesh.tets.dtype == mesh.surface_tris.dtype == np.int64
+
+
+# values may wrap across lines in any way; each layout reads the same mesh
+WRAPPED = [
+    ("0 1 0\n0 0 1\n", "0 1 0 0 0\n1\n"),
+    ("4 0 1 2 3\n4 1 2 3 4\n", "4 0 1 2 3 4 1 2 3 4\n"),
+    ("4 1 2 3 4\n3 0 1 2\n", "4 1 2\n3 4 3\n0 1 2\n"),
+    ("10\n10\n5\n", "10 10\n\n5\n"),
+    ("0 0 0\n", " 0\t0  +0.0 \n"),
+]
+
+
+@pytest.mark.parametrize("old,new", WRAPPED, ids=["points", "cells-joined", "cells-split", "types", "spacing"])
+def test_vtk_reader_accepts_any_wrapping(tmp_path, old, new):
+    assert VTK.count(old) == 1
+    mesh = load_mesh(_write(tmp_path, VTK.replace(old, new), "in.vtk"))
+    assert _vtk_mesh_lists(mesh) == _vtk_mesh_lists(load_mesh(_write(tmp_path, VTK, "ref.vtk")))
+
+
+# (replacement applied to VTK, message, 1-based line of the error)
+VTK_REJECTED = [
+    ("1 0 0\n", "1 x 0\n", "malformed POINTS value", 7),
+    ("1 0 0\n", "1 0 0 0\n", "too many values in POINTS", 10),
+    ("POINTS 5 double", "POINTS 6 double", "malformed POINTS value", 11),
+    ("4 0 1 2 3\n", "4 0 1 2 3.0\n", "malformed CELLS value", 12),
+    ("4 0 1 2 3\n", "4 0 1 2 1.5\n", "malformed CELLS value", 12),
+    ("4 0 1 2 3\n", "4 0 1 2 3 4\n", "too many values in CELLS", 15),
+    ("4 0 1 2 3\n", "3 0 1 2 3\n", "CELLS size field disagrees with cell records", 15),
+    ("4 0 1 2 3\n", "-1 0 1 2 3\n", "CELLS size field disagrees with cell records", 15),
+    # a negative size must not step the walk back to a record that tiles the rest
+    ("CELLS 4 18\n4 0 1 2 3\n4 1 2 3 4\n3 0 1 2\n3 1 3 2\nCELL_TYPES 4\n10\n10\n5\n5\n",
+     "CELLS 2 2\n-2 2\nCELL_TYPES 2\n10\n10\n", "CELLS size field disagrees with cell records", 12),
+    ("CELLS 4 18", "CELLS 5 18", "CELLS size field disagrees with cell records", 15),
+    ("4 0 1 2 3\n", "4 0 1 2 9\n", "cell vertex index out of range 0..4", 16),
+    ("CELL_TYPES 4", "CELL_TYPES 3", "CELL_TYPES count disagrees with CELLS", 16),
+    ("CELL_TYPES 4", "CELL_TYPES 5", "unexpected end of file inside CELL_TYPES", 20),
+    ("10\n10\n", "10\nx\n", "malformed CELL_TYPES value", 18),
+    ("10\n10\n", "10\n12\n", "unsupported VTK cell type 12", 16),
+    ("10\n10\n", "5\n10\n", "triangle cell without 3 points", 16),
+    ("5\n5\n", "5\n10\n", "tetra cell without 4 points", 16),
+    ("POINTS 5 double", "POINTS", "missing count after 'POINTS'", 5),
+    ("POINTS 5 double", "POINTS abc double", "bad count 'abc' after 'POINTS'", 5),
+    ("POINTS 5 double", "POINTS -5 double", "bad count '-5' after 'POINTS'", 5),
+    ("CELLS 4 18", "CELLS", "missing count after 'CELLS'", 11),
+    ("CELLS 4 18", "CELLS 4", "missing size after 'CELLS'", 11),
+    ("CELLS 4 18", "CELLS 4 1e1", "bad size '1e1' after 'CELLS'", 11),
+    ("CELL_TYPES 4", "CELL_TYPES", "missing count after 'CELL_TYPES'", 16),
+    ("CELL_TYPES 4", "CELL_TYPES 4.0", "bad count '4.0' after 'CELL_TYPES'", 16),
+]
+
+
+@pytest.mark.parametrize("old,new,message,line", VTK_REJECTED, ids=[
+    "malformed-coordinate", "too-many-points", "eof-in-points", "float-index", "fractional-index",
+    "too-many-cell-values", "size-field", "negative-size", "size-steps-back", "cell-count", "index-range", "type-count", "eof-in-types",
+    "malformed-type", "unknown-type", "triangle-size", "tetra-size", "points-count-missing",
+    "points-count-word", "points-count-negative", "cells-count-missing", "cells-size-missing",
+    "cells-size-float", "types-count-missing", "types-count-float"])
+def test_vtk_reader_rejects_with_line(tmp_path, old, new, message, line):
+    assert VTK.count(old) == 1
+    with pytest.raises(MeshFormatError) as info:
+        load_mesh(_write(tmp_path, VTK.replace(old, new), "in.vtk"))
+    assert info.value.line == line
+    assert str(info.value) == f"{message} (line {line})"
+
+
+def test_vtk_reader_matches_medit_reader(tmp_path):
+    mesh = generate_test_mesh("sphere", 4, seed=2, jitter=0.2)
+    build_topology(mesh)
+    save_mesh(mesh, tmp_path / "ball.mesh")
+    save_mesh(mesh, tmp_path / "ball.vtk")
+    medit, vtk = load_mesh(tmp_path / "ball.mesh"), load_mesh(tmp_path / "ball.vtk")
+    for name in ("vertices", "tets", "surface_tris"):
+        assert np.array_equal(getattr(vtk, name), getattr(medit, name)), name
+        assert getattr(vtk, name).dtype == getattr(medit, name).dtype, name
 
 
 # --- writers -------------------------------------------------------------------

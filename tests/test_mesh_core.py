@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from tetforge.errors import DegenerateTetError, MeshFormatError, MeshStructureEr
 from tetforge.fixtures import generate_test_mesh
 from tetforge.io import load_mesh, save_mesh
 from tetforge.mesh import (
+    TET_EDGES,
     TET_FACES,
     TetMesh,
     VertexClass,
@@ -308,6 +311,46 @@ def test_validate_accepts_listed_internal_face():
     assert sum(set(internal.tolist()) <= set(tet.tolist()) for tet in mesh.tets) == 2
     mesh.surface_tris = np.concatenate([mesh.surface_tris, [internal]])
     mesh.validate()
+
+
+@st.composite
+def listed_triangles(draw):
+    """Distinct triangles over a few vertex ids, three or more of them past
+    2**21, each listed one to three times in a random vertex order, all
+    shuffled.
+
+    Few ids give many triangles sharing their two smallest ids; triangles of
+    large ids take (k0 * nv + k1) * nv + k2 past the int64 range.
+    """
+    ids = draw(st.lists(st.integers(0, 2 ** 21 - 1), max_size=5, unique=True))
+    ids += draw(st.lists(st.integers(2 ** 21, 3 * 10 ** 6), min_size=3, max_size=5, unique=True))
+    triangles = draw(st.lists(st.sampled_from(list(combinations(ids, 3))), min_size=1, max_size=30, unique=True))
+    faces = [[tri[k] for k in draw(st.permutations(range(3)))]
+             for tri in triangles for _ in range(draw(st.integers(1, 3)))]
+    return np.array(draw(st.permutations(faces)), dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(listed_triangles())
+def test_group_faces_matches_lexsort(faces):
+    keys = np.sort(faces, axis=1)
+    lex = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
+    lex_starts = np.flatnonzero(np.r_[True, (keys[lex][1:] != keys[lex][:-1]).any(axis=1)])
+    order, starts, counts = group_faces(faces)
+    assert np.array_equal(np.sort(order), np.arange(len(faces)))
+    assert np.array_equal(starts, lex_starts)
+    assert np.array_equal(counts, np.diff(np.r_[lex_starts, len(faces)]))
+    for start, count in zip(starts, counts):
+        # every group holds the copies of one triangle, in the lexsort's group order
+        assert (keys[order[start:start + count]] == keys[lex[start]]).all()
+
+
+@pytest.mark.parametrize("i,j", TET_EDGES)
+def test_validate_rejects_repeated_vertex_in_any_slot_pair(i, j):
+    mesh = generate_test_mesh("grid", 2)
+    mesh.tets[7, j] = mesh.tets[7, i]
+    with pytest.raises(MeshStructureError, match="^tet with repeated vertex$"):
+        mesh.validate()
 
 
 def collapsed_tet_mesh():
