@@ -12,7 +12,6 @@ submodules (tetforge.barrier, tetforge.constraints, tetforge.solver, ...).
 from tetforge.driver import OptimizationReport, RunConfig, optimize_mesh
 from tetforge.errors import (
     BarrierViolationError,
-    DegenerateNormalError,
     DegenerateTetError,
     MeshFormatError,
     MeshStructureError,
@@ -29,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BarrierViolationError",
-    "DegenerateNormalError",
     "DegenerateTetError",
     "GlobalMetrics",
     "MeshFormatError",

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tetforge.errors import BarrierViolationError
-from tetforge.quality import CURVATURE_COLUMN, derivatives, quality_batch, quality_diff_batch
+from tetforge.quality import CURVATURE_COLUMN, derivatives, quality_diff_batch
 
 _XYZ4 = np.tile(np.arange(3, dtype=np.int32), 4)
 
@@ -85,17 +85,6 @@ def barrier_values_batch(q: np.ndarray, gamma: float) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         values = q * q / (2.0 * (1.0 - gamma)) - np.log(q - gamma)
     return np.where(q > gamma, values, np.inf)
-
-
-def barrier_grad_hess(qd, gamma: float):
-    """Gradient and Hessian of I for one element from its QualityDiff."""
-    if qd.q <= gamma:
-        raise BarrierViolationError(f"quality {qd.q} at or below barrier {gamma}")
-    c1 = qd.q / (1.0 - gamma) - 1.0 / (qd.q - gamma)
-    c2 = 1.0 / (1.0 - gamma) + 1.0 / (qd.q - gamma) ** 2
-    grad = c1 * qd.grad
-    hess = c2 * np.outer(qd.grad, qd.grad) + c1 * qd.hess
-    return grad, hess
 
 
 # For each of the 16 masks (bit i set: vertex slot i is free), the free
@@ -173,12 +162,6 @@ class PatchSystem:
         return len(self.f)
 
 
-def patch_objective(mesh, patch, gamma: float) -> float:
-    """Sum of barrier values over the patch ring; +inf on any violation."""
-    q = quality_batch(mesh.tet_points(patch.ring_tets))
-    return float(barrier_values_batch(q, gamma).sum())
-
-
 def assemble_patch_system(mesh, patch, params: BarrierParams, plan: PatchPlan | None = None) -> PatchSystem:
     """Assemble the barrier objective, gradient and Hessian over a patch.
 
@@ -204,7 +187,7 @@ def assemble_patch_system(mesh, patch, params: BarrierParams, plan: PatchPlan | 
             f"element {tid} quality {q[k]:.6g} at or below barrier {gamma:.6g}",
             tet_id=tid,
         )
-    val = q * q / (2.0 * (1.0 - gamma)) - np.log(q - gamma)
+    val = barrier_values_batch(q, gamma)
     inv = 1.0 / (q - gamma)
     c1, c2 = q / (1.0 - gamma) - inv, 1.0 / (1.0 - gamma) + inv * inv
 

@@ -2,9 +2,11 @@
 
 A surface vertex may only move tangentially to the surface the mesh itself
 defines: its displacement must be orthogonal to the unit resultant normal
-of its incident surface triangles.  A crease vertex must be orthogonal to
-the normal of each of its two clusters, which leaves only the crease
-direction free; corners do not move at all.
+of each of its normal clusters, the groups of incident surface triangles
+that set-up found (`AdjacencyIndex.normal_groups`).  A smooth vertex has one
+cluster, which leaves its tangent plane free; a crease vertex has two, which
+leave only the crease direction free; corners do not move at all.  A vertex
+whose cluster normal vanishes is demoted to a corner.
 
 Every such condition touches the three DOFs of one vertex, so the
 constraint null space is block-diagonal.  Each free vertex gets an
@@ -33,22 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from tetforge.errors import DegenerateNormalError
 from tetforge.mesh import TetMesh, VertexClass, triangle_area_normals
 from tetforge.topology import AdjacencyIndex
 
 logger = logging.getLogger("tetforge")
 
 PIVOT_TOL = 1e-10
-
-
-@dataclass
-class VertexNormal:
-    """Area-weighted resultant normal of a surface vertex."""
-
-    vertex: int
-    n: np.ndarray       # sum of incident area-weighted triangle normals
-    unit_n: np.ndarray  # n / |n|
 
 
 @dataclass
@@ -74,37 +66,20 @@ class ConstraintSystem:
         return np.einsum("iab,ib->ia", self.frames, y).reshape(-1)
 
 
-def vertex_normal(v: int, mesh: TetMesh, adjacency: AdjacencyIndex) -> VertexNormal:
-    """Resultant of the incident area-weighted triangle normals at v.
+def _cluster_normals(v: int, mesh: TetMesh, adjacency: AdjacencyIndex, floor: float):
+    """Unit resultant normal of each normal cluster of vertex v, in the order found.
 
-    Raises DegenerateNormalError if the resultant vanishes (opposing faces
-    cancelling); such a vertex is treated as a corner by the callers.
+    Returns None if v has no cluster or a cluster whose area-weighted
+    resultant is shorter than floor (opposing faces cancelling).
     """
-    tris = adjacency.vertex_tris[v]
-    if len(tris) == 0:
-        raise DegenerateNormalError(f"vertex {v} has no incident surface triangles")
-    n = triangle_area_normals(mesh.vertices, mesh.surface_tris[tris]).sum(axis=0)
-    scale = float(np.abs(mesh.vertices).max()) or 1.0
-    norm = float(np.linalg.norm(n))
-    if norm < 1e-14 * scale * scale:
-        raise DegenerateNormalError(f"vertex {v} has a vanishing resultant normal")
-    return VertexNormal(vertex=v, n=n, unit_n=n / norm)
-
-
-def _group_unit_normals(v: int, mesh: TetMesh, adjacency: AdjacencyIndex) -> list:
-    """One unit resultant normal per stored normal cluster of vertex v."""
-    groups = adjacency.normal_groups(v)
-    if not groups:
-        raise DegenerateNormalError(f"vertex {v} has no normal clusters")
-    out = []
-    scale = float(np.abs(mesh.vertices).max()) or 1.0
-    for tri_ids in groups:
-        n = triangle_area_normals(mesh.vertices, mesh.surface_tris[tri_ids]).sum(axis=0)
+    normals = []
+    for tris in adjacency.normal_groups(v):
+        n = triangle_area_normals(mesh.vertices, mesh.surface_tris[tris]).sum(axis=0)
         norm = float(np.linalg.norm(n))
-        if norm < 1e-14 * scale * scale:
-            raise DegenerateNormalError(f"vertex {v} has a degenerate cluster normal")
-        out.append(n / norm)
-    return out
+        if norm < floor:
+            return None
+        normals.append(n / norm)
+    return normals or None
 
 
 def tangent_frame(normals):
@@ -134,25 +109,23 @@ def build_constraints(patch, mesh: TetMesh, adjacency: AdjacencyIndex):
     frames = np.tile(np.eye(3), (len(free), 1, 1))
     keep = np.ones((len(free), 3), dtype=bool)
     demoted = []
+    floor = None
     for i, v in enumerate(free):
         cls = int(mesh.vertex_class[v])
         if cls == VertexClass.INTERIOR:
             continue
-        if cls not in (VertexClass.SURFACE_SMOOTH, VertexClass.FEATURE_EDGE):
-            keep[i] = False  # corner or user-fixed
-            continue
-        try:
-            if cls == VertexClass.SURFACE_SMOOTH:
-                normals = [vertex_normal(v, mesh, adjacency).unit_n]
-            else:
-                normals = _group_unit_normals(v, mesh, adjacency)
-        except DegenerateNormalError:
+        if cls == VertexClass.SURFACE_SMOOTH or cls == VertexClass.FEATURE_EDGE:
+            if floor is None:  # the scale reads the whole mesh: once per call, and only with surface vertices
+                scale = float(np.abs(mesh.vertices).max()) or 1.0
+                floor = 1e-14 * scale * scale
+            normals = _cluster_normals(v, mesh, adjacency, floor)
+            if normals is not None:
+                frames[i], keep[i] = tangent_frame(normals)
+                continue
             mesh.vertex_class[v] = VertexClass.CORNER
-            keep[i] = False
             demoted.append(int(v))
             logger.debug("vertex %d demoted to corner: degenerate normal", v)
-            continue
-        frames[i], keep[i] = tangent_frame(normals)
+        keep[i] = False  # corner or user-fixed
     return ConstraintSystem(frames=frames, keep=keep), demoted
 
 

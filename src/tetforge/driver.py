@@ -65,7 +65,6 @@ class Patch:
     seed_tets: np.ndarray
     free_vertices: np.ndarray
     ring_tets: np.ndarray
-    seed_quality: float = np.inf
 
 
 @dataclass
@@ -185,8 +184,10 @@ def select_patches(mesh: TetMesh, adjacency: AdjacencyIndex, target_quality: flo
                    qualities: np.ndarray | None = None) -> list:
     """Build the patches for one pass, worst seed first.
 
-    Selective mode seeds every element below the target.  Seeds sharing a
-    movable vertex are grouped, and each connected group is split into
+    Both modes order their seeds by (quality, id) once, and the patches
+    come out in the order of their worst seeds.  Selective mode seeds every
+    element below the target.  Seeds sharing a movable vertex are grouped,
+    and each connected group is split into
     chunks of at most MAX_PATCH_VERTICES free vertices grown breadth first
     from its worst seed (`_seed_chunks`); every seed lies in exactly one
     patch.  Free-vertex sets of different groups are disjoint, while chunks
@@ -200,28 +201,24 @@ def select_patches(mesh: TetMesh, adjacency: AdjacencyIndex, target_quality: flo
         qualities = quality_batch(mesh.tet_points())
     movable = _movable(mesh.vertex_class, surface_motion)
     if mode == "all-patches":
-        chunks, worst = np.arange(mesh.num_tets, dtype=np.int64)[:, None], qualities
+        seeds = np.arange(mesh.num_tets, dtype=np.int64)
     else:
         seeds = np.flatnonzero(qualities < target_quality).astype(np.int64)
-        seeds = seeds[np.lexsort((seeds, qualities[seeds]))]
+    seeds = seeds[np.lexsort((seeds, qualities[seeds]))]
+    if mode == "all-patches":
+        chunks = seeds[:, None]
+    else:
         seed_free = [set(tet[movable[tet]].tolist()) for tet in mesh.tets[seeds]]
-        picks = _seed_chunks(seed_free, MAX_PATCH_VERTICES)
-        chunks = [np.sort(seeds[c]) for c in picks]
-        worst = qualities[seeds[[c[0] for c in picks]]]  # a chunk starts at its worst seed
+        # a chunk starts at the worst seed not yet taken, so chunks come out worst seed first
+        chunks = [np.sort(seeds[c]) for c in _seed_chunks(seed_free, MAX_PATCH_VERTICES)]
 
     patches = []
-    for seed_ids, seed_quality in zip(chunks, worst):
+    for seed_ids in chunks:
         free = np.unique(mesh.tets[seed_ids])
         free = free[movable[free]]
         if len(free) == 0:
             continue
-        patches.append(Patch(
-            seed_tets=seed_ids,
-            free_vertices=free,
-            ring_tets=adjacency.ring_tets(free),
-            seed_quality=float(seed_quality),
-        ))
-    patches.sort(key=lambda p: (p.seed_quality, int(p.seed_tets[0])))
+        patches.append(Patch(seed_tets=seed_ids, free_vertices=free, ring_tets=adjacency.ring_tets(free)))
     return patches
 
 

@@ -26,10 +26,6 @@ class DegenerateTetError(TetForgeError):
     """An operation that requires a non-degenerate tetrahedron got a flat one."""
 
 
-class DegenerateNormalError(TetForgeError):
-    """A surface vertex has a vanishing resultant normal."""
-
-
 class BarrierViolationError(TetForgeError):
     """An element quality fell to or below the barrier level gamma."""
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import tempfile
 import warnings
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -104,7 +105,8 @@ class _Lines:
             self.lines.pop()  # the text after the final newline is no line
         if strip_comments and "#" in text:
             self.lines = [line.split("#", 1)[0] for line in self.lines]
-        self.nonblank = [i for i, line in enumerate(self.lines) if line and not line.isspace()]
+        # a line is blank when stripping leaves it empty
+        self.nonblank = list(compress(range(len(self.lines)), map(str.strip, self.lines)))
         self.taken = 0
         self.pos = 0
 

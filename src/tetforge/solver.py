@@ -5,11 +5,15 @@ where tau is the smallest rung of a ladder of powers of ten times the
 largest diagonal entry at which the factorization succeeds and gives a
 descent step (quality is non-convex, so raw Newton can point uphill); the
 rung is found by bisection, a few factorizations instead of one per rung.
-The backtracking line search then accepts the first step
+A step whose predicted decrease |f . dX| is at most eps * m * max(1,
+|objective|), for m ring elements, ends the solve as converged: the Armijo
+test compares two sums of m terms, each rounded to within about m ulps of
+the objective, so it cannot tell such a decrease from round-off.  Any other
+step goes to the backtracking line search, which accepts the first step
 that keeps every ring element strictly above the barrier and achieves an
-Armijo decrease of the patch objective; because no accepted step may cross
-the barrier, a mesh that starts valid can never acquire an inverted element
-while gamma >= 0.
+Armijo decrease of the patch objective; a search that accepts none stalls
+the patch.  Because no accepted step may cross the barrier, a mesh that
+starts valid can never acquire an inverted element while gamma >= 0.
 """
 
 from __future__ import annotations
@@ -120,10 +124,6 @@ def line_search(mesh, patch, system: PatchSystem, direction: np.ndarray,
     the step was rejected below 2^-20 and the mesh is untouched.
     """
     plan = system.plan
-    if len(plan.free) == 0 or not direction.any():
-        q = quality_batch(mesh.vertices.take(plan.coords))
-        return 1.0, 0, system.objective, float(q.min()) if len(q) else np.inf
-
     # trials move the ring coordinates (step 0 where fixed); acceptance writes the same bits to the mesh
     start = mesh.vertices.take(plan.coords)
     step = np.zeros_like(start)
@@ -154,11 +154,13 @@ def optimize_patch(mesh, patch, params: BarrierParams,
     Constraint frames, when given, are frozen for the whole solve and each
     Newton system is reduced to their tangent columns; the mesh coordinates
     of the patch's free vertices are updated in place.  The assembly plan
-    is built once here and shared by every iteration.  A patch that cannot
-    make progress is reported as stalled, not raised; a rejected line search
-    that met no barrier violation on a predicted decrease |f . dX| of at most
-    eps * m * max(1, |objective|), for m ring elements, counts as converged
-    instead.
+    is built once here and shared by every iteration.  The solve ends as
+    converged when the gradient vanishes, when the predicted decrease
+    |f . dX| is at most eps * m * max(1, |objective|) for m ring elements
+    (such a step is never searched), or when an accepted step is shorter
+    than STEP_TOL.  A patch that cannot make progress (no descent direction,
+    or a line search that rejects every alpha) is reported as stalled, not
+    raised.
     """
     report = SolveReport()
     plan = plan_patch(mesh, patch)
@@ -179,18 +181,15 @@ def optimize_patch(mesh, patch, params: BarrierParams,
             report.stalled = True
             break
         report.shifted_solves += int(tau != 0.0)
-        predicted = float(f_eff @ dx)
+        # a predicted decrease at the objective's rounding floor: converged, not searched
+        if abs(float(f_eff @ dx)) <= np.finfo(float).eps * len(plan.ring) * max(1.0, abs(system.objective)):
+            break
         if constraints is not None:
             dx = constraints.lift(dx)
         alpha, violations, obj, min_q = line_search(mesh, patch, system, dx, params)
         report.barrier_violations += violations
         if alpha == 0.0:
-            # The Armijo test compares two sums of m ring terms, each rounded
-            # to within about m ulps of the objective; a predicted decrease
-            # below that cannot pass it: the patch has converged, not stalled.
-            converged = violations == 0 and \
-                abs(predicted) <= np.finfo(float).eps * len(plan.ring) * max(1.0, abs(system.objective))
-            report.stalled = not converged
+            report.stalled = True
             break
         report.iterations += 1
         report.objective = obj

@@ -36,6 +36,38 @@ def fd_hessian(func, x, h):
     return hess
 
 
+def barrier_grad_hess(qd, gamma: float):
+    """Gradient and Hessian of the barrier I for one element from its QualityDiff.
+
+    The per-element reference for the patch assembly, built from the
+    element's full quality gradient and Hessian.
+    """
+    from tetforge.errors import BarrierViolationError
+
+    if qd.q <= gamma:
+        raise BarrierViolationError(f"quality {qd.q} at or below barrier {gamma}")
+    c1 = qd.q / (1.0 - gamma) - 1.0 / (qd.q - gamma)
+    c2 = 1.0 / (1.0 - gamma) + 1.0 / (qd.q - gamma) ** 2
+    grad = c1 * qd.grad
+    hess = c2 * np.outer(qd.grad, qd.grad) + c1 * qd.hess
+    return grad, hess
+
+
+def patch_objective(mesh, patch, gamma: float) -> float:
+    """Sum of barrier values over the patch ring; +inf on any violation."""
+    from tetforge.barrier import barrier_values_batch
+    from tetforge.quality import quality_batch
+
+    q = quality_batch(mesh.tet_points(patch.ring_tets))
+    return float(barrier_values_batch(q, gamma).sum())
+
+
+def resultant_normal(mesh, tri_ids):
+    """Sum of the area-weighted normals (cross / 2) of the given surface triangles."""
+    p = mesh.vertices[mesh.surface_tris[tri_ids]]
+    return 0.5 * np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]).sum(axis=0)
+
+
 def random_tet(rng, min_volume=1e-3):
     """A uniformly random tet in the unit cube with volume bounded away from 0."""
     from tetforge.mesh import tet_signed_volume

@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 from tetforge.barrier import (
     BarrierParams,
     assemble_patch_system,
-    barrier_grad_hess,
     barrier_value,
     barrier_values_batch,
     compute_gamma,
-    patch_objective,
 )
 from tetforge.driver import Patch, select_patches
 from tetforge.errors import BarrierViolationError
@@ -19,7 +17,7 @@ from tetforge.mesh import TetMesh, VertexClass
 from tetforge.quality import quality_batch, volume_length_diff
 from tetforge.topology import build_topology
 
-from conftest import fd_gradient, fd_hessian, random_tet
+from conftest import barrier_grad_hess, fd_gradient, fd_hessian, patch_objective, random_tet
 
 
 # --- gamma -----------------------------------------------------------------

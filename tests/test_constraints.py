@@ -11,14 +11,14 @@ from tetforge.constraints import (
     project_system,
     projector,
     tangent_frame,
-    vertex_normal,
 )
 from tetforge.driver import Patch, RunConfig, optimize_mesh, select_patches
-from tetforge.errors import DegenerateNormalError
 from tetforge.fixtures import generate_test_mesh
-from tetforge.mesh import VertexClass, triangle_area_normals
+from tetforge.mesh import VertexClass
 from tetforge.quality import quality_batch
 from tetforge.topology import build_topology
+
+from conftest import resultant_normal
 
 
 def _patch_of_all_movable(mesh, adjacency):
@@ -27,19 +27,30 @@ def _patch_of_all_movable(mesh, adjacency):
     return patches[0]
 
 
+def _unit_resultant(v, mesh, adjacency):
+    """Unit resultant of all the surface triangles at vertex v."""
+    n = resultant_normal(mesh, adjacency.vertex_tris[int(v)])
+    return n / np.linalg.norm(n)
+
+
 def _vertex_normals(v, mesh, adjacency):
     """Unit constraint normals of a free vertex, computed independently:
     the resultant normal on a smooth surface, one per cluster on a crease."""
     cls = mesh.vertex_class[v]
     if cls == VertexClass.SURFACE_SMOOTH:
-        return [vertex_normal(int(v), mesh, adjacency).unit_n]
+        return [_unit_resultant(v, mesh, adjacency)]
     if cls == VertexClass.FEATURE_EDGE:
         out = []
         for tri_ids in adjacency.normal_groups(int(v)):
-            n = triangle_area_normals(mesh.vertices, mesh.surface_tris[tri_ids]).sum(axis=0)
+            n = resultant_normal(mesh, tri_ids)
             out.append(n / np.linalg.norm(n))
         return out
     return []
+
+
+def _normal_column(system, i):
+    """The first frame column of free vertex i that it may not move along."""
+    return system.frames[i][:, ~system.keep[i]][:, 0]
 
 
 def _dense_rows(patch, mesh, adjacency):
@@ -63,8 +74,11 @@ def test_planar_face_vertex_normal():
     smooth = np.flatnonzero(mesh.vertex_class == VertexClass.SURFACE_SMOOTH)
     top = [v for v in smooth if mesh.vertices[v][2] == 1.0]
     assert len(top) == 1
-    vn = vertex_normal(int(top[0]), mesh, adjacency)
-    assert np.allclose(vn.unit_n, [0.0, 0.0, 1.0], atol=1e-12)
+    patch = _patch_of_all_movable(mesh, adjacency)
+    system, _ = build_constraints(patch, mesh, adjacency)
+    (i,) = np.flatnonzero(patch.free_vertices == top[0])
+    assert system.keep[i].sum() == 2
+    assert np.allclose(np.abs(_normal_column(system, i)), [0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_cube_edge_vertex_resultant_normal():
@@ -76,8 +90,15 @@ def test_cube_edge_vertex_resultant_normal():
     target = [v for v in edges
               if mesh.vertices[v][2] == 1.0 and mesh.vertices[v][0] == 1.0]
     assert len(target) == 1
-    vn = vertex_normal(int(target[0]), mesh, adjacency)
-    assert np.allclose(vn.unit_n, np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0), atol=1e-12)
+    resultant = _unit_resultant(target[0], mesh, adjacency)
+    assert np.allclose(resultant, np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0), atol=1e-12)
+    # the crease direction is orthogonal to both cluster normals, so to their resultant too
+    patch = _patch_of_all_movable(mesh, adjacency)
+    system, _ = build_constraints(patch, mesh, adjacency)
+    (i,) = np.flatnonzero(patch.free_vertices == target[0])
+    crease = system.frames[i][:, system.keep[i]]
+    assert crease.shape == (3, 1)
+    assert abs(resultant @ crease[:, 0]) <= 1e-12
 
 
 def test_sphere_vertex_normals_near_radial():
@@ -85,11 +106,15 @@ def test_sphere_vertex_normals_near_radial():
     adjacency = build_topology(mesh, feature_angle_deg=30.0)
     radius = np.linalg.norm(mesh.vertices, axis=1)
     on_sphere = np.flatnonzero(radius > 1.0 - 1e-9)
+    patch = Patch(seed_tets=np.zeros(0, dtype=np.int64), free_vertices=on_sphere,
+                  ring_tets=adjacency.ring_tets(on_sphere))
+    system, demoted = build_constraints(patch, mesh, adjacency)
+    assert not demoted
     worst = 0.0
-    for v in on_sphere:
-        vn = vertex_normal(int(v), mesh, adjacency)
+    for i, v in enumerate(on_sphere):
         exact = mesh.vertices[v] / radius[v]
-        angle = np.degrees(np.arccos(np.clip(vn.unit_n @ exact, -1.0, 1.0)))
+        # the frame fixes a column's line, not its sign
+        angle = np.degrees(np.arccos(np.clip(abs(_normal_column(system, i) @ exact), -1.0, 1.0)))
         worst = max(worst, angle)
     assert worst < 15.0
 
@@ -110,8 +135,8 @@ def test_surface_vertices_get_orthonormal_tangent_frames():
     for i, v in enumerate(patch.free_vertices):
         assert system.keep[i].sum() == expected[VertexClass(mesh.vertex_class[v])]
         if mesh.vertex_class[v] == VertexClass.SURFACE_SMOOTH:
-            normal_col = system.frames[i][:, ~system.keep[i]][:, 0]
-            assert abs(normal_col @ vertex_normal(int(v), mesh, adjacency).unit_n) == pytest.approx(1.0, abs=1e-12)
+            normal_col = _normal_column(system, i)
+            assert abs(normal_col @ _unit_resultant(v, mesh, adjacency)) == pytest.approx(1.0, abs=1e-12)
     smooth = sum(mesh.vertex_class[v] == VertexClass.SURFACE_SMOOTH for v in patch.free_vertices)
     crease = sum(mesh.vertex_class[v] == VertexClass.FEATURE_EDGE for v in patch.free_vertices)
     assert system.num_rows == smooth + 2 * crease > 0
@@ -159,14 +184,14 @@ def test_degenerate_normal_demotes_vertex_to_a_fixed_corner(monkeypatch):
     patch = select_patches(mesh, adjacency, target_quality=0.3)[0]
     i, vertex = next((i, int(v)) for i, v in enumerate(patch.free_vertices)
                      if mesh.vertex_class[v] == VertexClass.SURFACE_SMOOTH)
-    resultant_normal = tetforge.constraints.vertex_normal
+    area_normals = tetforge.constraints.triangle_area_normals
 
-    def degenerate_at_vertex(v, mesh, adjacency):
-        if v == vertex:
-            raise DegenerateNormalError(f"vertex {v} has a vanishing resultant normal")
-        return resultant_normal(v, mesh, adjacency)
+    def degenerate_at_vertex(vertices, tris):
+        # the triangles of the vertex's one cluster, and no other set, all hold it
+        normals = area_normals(vertices, tris)
+        return np.zeros_like(normals) if (tris == vertex).any(axis=1).all() else normals
 
-    monkeypatch.setattr(tetforge.constraints, "vertex_normal", degenerate_at_vertex)
+    monkeypatch.setattr(tetforge.constraints, "triangle_area_normals", degenerate_at_vertex)
     built = mesh.copy()
     system, demoted = build_constraints(patch, built, adjacency)
     assert demoted == [vertex]
@@ -306,9 +331,9 @@ def test_first_order_volume_preservation_single_vertex():
     for i, v in enumerate(patch.free_vertices):
         if mesh.vertex_class[v] != VertexClass.SURFACE_SMOOTH:
             continue
-        vn = vertex_normal(int(v), mesh, adjacency)
-        local_volume = abs(np.dot(mesh.vertices[v], vn.n))
-        assert abs(dx[i] @ vn.n) / 3.0 <= 1e-8 * max(local_volume, 1e-6)
+        n = resultant_normal(mesh, adjacency.vertex_tris[int(v)])
+        local_volume = abs(np.dot(mesh.vertices[v], n))
+        assert abs(dx[i] @ n) / 3.0 <= 1e-8 * max(local_volume, 1e-6)
         checked += 1
     assert checked > 0
 

@@ -4,7 +4,7 @@ import scipy.linalg
 
 import tetforge.solver
 from tetforge.barrier import BarrierParams, assemble_patch_system
-from tetforge.constraints import build_constraints, vertex_normal
+from tetforge.constraints import build_constraints
 from tetforge.driver import Patch, RunConfig, optimize_mesh, select_patches
 from tetforge.errors import NoProgressError
 from tetforge.fixtures import generate_test_mesh
@@ -12,6 +12,8 @@ from tetforge.mesh import TetMesh, VertexClass
 from tetforge.quality import quality_batch, volume_length_quality
 from tetforge.solver import MAX_SHIFT_EXP, line_search, newton_direction, optimize_patch
 from tetforge.topology import build_topology
+
+from conftest import resultant_normal
 
 
 # --- newton_direction --------------------------------------------------------
@@ -297,6 +299,27 @@ def test_already_optimal_patch_does_not_move(regular_tet):
     assert np.abs(mesh.vertices - before).max() < 1e-10
 
 
+def test_step_below_the_rounding_floor_ends_the_solve_unsearched(monkeypatch):
+    # a Newton step scaled far below round-off predicts a decrease that the
+    # Armijo test cannot resolve: the solve ends as converged, and no trial
+    # point is evaluated
+    mesh = generate_test_mesh("with-slivers", 3, seed=1, k=2, jitter=0.05)
+    adjacency = build_topology(mesh)
+    patch = select_patches(mesh, adjacency, target_quality=0.3, surface_motion=False)[0]
+    params = BarrierParams.from_quality(float(np.nanmin(quality_batch(mesh.tet_points()))), 0.75)
+    newton_direction = tetforge.solver.newton_direction
+    monkeypatch.setattr(tetforge.solver, "newton_direction", lambda S, f: (1e-100 * newton_direction(S, f)[0], 0.0))
+    trials = []
+    trial_quality = tetforge.solver.quality_batch
+    monkeypatch.setattr(tetforge.solver, "quality_batch", lambda points: trials.append(len(points)) or trial_quality(points))
+    before = mesh.vertices.copy()
+    report = optimize_patch(mesh, patch, params)
+    assert trials == []
+    assert np.array_equal(mesh.vertices, before)
+    assert not report.stalled
+    assert report.iterations == 0 and report.barrier_violations == 0
+
+
 def test_untangles_inverted_patch():
     mesh = generate_test_mesh("with-inverted", 3, seed=4, k=1)
     adjacency = build_topology(mesh)
@@ -321,7 +344,8 @@ def test_constrained_patch_displacement_stays_tangential():
     constraints, demoted = build_constraints(patch, mesh, adjacency)
     assert not demoted and constraints.num_rows > 0
     surface = [i for i, v in enumerate(patch.free_vertices) if mesh.vertex_class[v] != VertexClass.INTERIOR]
-    normals = np.array([vertex_normal(int(patch.free_vertices[i]), mesh, adjacency).unit_n for i in surface])
+    normals = np.array([resultant_normal(mesh, adjacency.vertex_tris[int(patch.free_vertices[i])]) for i in surface])
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
     before = mesh.vertices[patch.free_vertices].copy()
     q_min = float(np.nanmin(quality_batch(mesh.tet_points())))
     params = BarrierParams.from_quality(q_min, 0.8)
