@@ -6,6 +6,13 @@ elements (or every element in all-patches mode) and runs a short Newton
 solve on each.  The schedule sweeps the barrier constant upward so early
 passes spread improvement while later ones bear down on the worst element.
 
+Selection groups the seeds into chunks and packs the chunks, worst seed
+first, into waves: chunks whose rings share no tet move in one Newton solve
+(the independent-set scheme of Freitag, Jones and Plassmann, IMR 1995).
+A wave's system is block-diagonal over its chunks, which share its step
+length, shift and iteration budget; chunks whose rings share a tet are
+solved in separate waves, in the order of their worst seeds.
+
 Selection fixes each patch's free vertices once; with surface motion the
 tangent frames built from the vertex classes at solve time then decide how
 far each of them may move, so a vertex demoted to a corner by an earlier
@@ -59,12 +66,14 @@ class Patch:
     """A local optimization unit: bad seed elements plus their surroundings.
 
     ring_tets covers every element incident to a free vertex, so the patch
-    objective sees all elements any free vertex can affect.
+    objective sees all elements any free vertex can affect.  chunks counts
+    the seed chunks the patch holds, whose rings are disjoint.
     """
 
     seed_tets: np.ndarray
     free_vertices: np.ndarray
     ring_tets: np.ndarray
+    chunks: int = 1
 
 
 @dataclass
@@ -88,6 +97,12 @@ class RunConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.max_passes < 1:
             raise ValueError("max_passes must be positive")
+        # no element lies below a NaN target, so the run would do nothing
+        if np.isnan(self.target_quality):
+            raise ValueError("target quality must be a number")
+        # at or below 0 degrees every surface vertex is a corner and none moves
+        if not 0.0 < self.feature_angle_deg <= 180.0:
+            raise ValueError("feature angle must lie in (0, 180] degrees")
 
 
 @dataclass
@@ -102,13 +117,14 @@ class PassRecord:
     volume: float
     drift_percent: float
     elapsed_s: float
-    patches: int
+    patches: int  # waves solved
+    chunks: int  # seed chunks in those waves
     stalled: int
     newton_iterations: int
     shifted_solves: int
     barrier_rejections: int
     max_patch_dofs: int
-    stalled_seeds: list  # seed tet ids of the stalled patches, patch by patch
+    stalled_seeds: list  # seed tet ids of the stalled waves, wave by wave
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -179,23 +195,54 @@ def _seed_chunks(seed_free: list, cap: int) -> list:
     return chunks
 
 
+def _pack_waves(rings: list, sizes: list, num_tets: int, cap: int) -> list:
+    """Pack chunks, in order, into waves whose rings share no tet.
+
+    Chunk i, with ring tets rings[i] and sizes[i] free vertices, goes to the
+    first wave after every wave holding a ring tet of it that still has room
+    for it under cap free vertices.  So two chunks whose rings share a tet
+    keep their order, and each chunk sees the coordinates it would see if
+    the chunks were solved one by one.  Returns lists of chunk indices.
+    """
+    last = np.full(num_tets, -1, dtype=np.int64)  # the latest wave holding each tet
+    waves, room = [], []
+    for i, (ring, size) in enumerate(zip(rings, sizes)):
+        u = int(last[ring].max()) + 1
+        while u < len(waves) and room[u] < size:
+            u += 1
+        if u == len(waves):
+            waves.append([])
+            room.append(cap)
+        waves[u].append(i)
+        room[u] -= size
+        last[ring] = u
+    return waves
+
+
 def select_patches(mesh: TetMesh, adjacency: AdjacencyIndex, target_quality: float,
                    mode: str = "selective", surface_motion: bool = True,
                    qualities: np.ndarray | None = None) -> list:
-    """Build the patches for one pass, worst seed first.
+    """Build the waves for one pass, worst seed first, one patch each.
 
-    Both modes order their seeds by (quality, id) once, and the patches
-    come out in the order of their worst seeds.  Selective mode seeds every
-    element below the target.  Seeds sharing a movable vertex are grouped,
-    and each connected group is split into
-    chunks of at most MAX_PATCH_VERTICES free vertices grown breadth first
-    from its worst seed (`_seed_chunks`); every seed lies in exactly one
-    patch.  Free-vertex sets of different groups are disjoint, while chunks
-    of one group may share free vertices and are solved one after another.
-    All-patches mode seeds every element and makes each seed a chunk of its
-    own: the sweep visits every element the way a classic smoother does.
-    Both modes build their patches from the chunks in one loop.  Patches
-    with no movable vertex are dropped.
+    Both modes order their seeds by (quality, id) once.  Selective mode
+    seeds every element below the target.  Seeds sharing a movable vertex
+    are grouped, and each connected group is split into chunks of at most
+    MAX_PATCH_VERTICES free vertices grown breadth first from its worst
+    seed (`_seed_chunks`); every seed lies in exactly one chunk.
+    Free-vertex sets of different groups are disjoint, while chunks of one
+    group may share free vertices.  All-patches mode seeds every element
+    and makes each seed a chunk of its own: the sweep visits every element
+    the way a classic smoother does.  Chunks with no movable vertex are
+    dropped.
+
+    The chunks, in the order of their worst seeds, are then packed into
+    waves (`_pack_waves`): the chunks of one wave have pairwise disjoint
+    rings and at most MAX_PATCH_VERTICES free vertices in all, and two
+    chunks whose rings share a tet lie in different waves, the one with
+    the worse seed first.  Each wave is one patch, its seeds, free vertices
+    and ring tets those of its chunks, sorted; its Newton system is
+    block-diagonal over the chunks, which share one step length, shift and
+    iteration budget.  The waves come out in the order of their worst seeds.
     """
     if qualities is None:
         qualities = quality_batch(mesh.tet_points())
@@ -210,16 +257,22 @@ def select_patches(mesh: TetMesh, adjacency: AdjacencyIndex, target_quality: flo
     else:
         seed_free = [set(tet[movable[tet]].tolist()) for tet in mesh.tets[seeds]]
         # a chunk starts at the worst seed not yet taken, so chunks come out worst seed first
-        chunks = [np.sort(seeds[c]) for c in _seed_chunks(seed_free, MAX_PATCH_VERTICES)]
+        chunks = [seeds[c] for c in _seed_chunks(seed_free, MAX_PATCH_VERTICES)]
 
-    patches = []
+    kept, frees, rings = [], [], []
     for seed_ids in chunks:
         free = np.unique(mesh.tets[seed_ids])
         free = free[movable[free]]
-        if len(free) == 0:
-            continue
-        patches.append(Patch(seed_tets=seed_ids, free_vertices=free, ring_tets=adjacency.ring_tets(free)))
-    return patches
+        if len(free):
+            kept.append(seed_ids)
+            frees.append(free)
+            rings.append(adjacency.ring_tets(free))
+    waves = _pack_waves(rings, [len(free) for free in frees], mesh.num_tets, MAX_PATCH_VERTICES)
+    return [Patch(seed_tets=np.sort(np.concatenate([kept[i] for i in wave])),
+                  free_vertices=np.sort(np.concatenate([frees[i] for i in wave])),
+                  ring_tets=np.sort(np.concatenate([rings[i] for i in wave])),
+                  chunks=len(wave))
+            for wave in waves]
 
 
 def _run_patch(mesh, adjacency, patch, params, config):
@@ -331,6 +384,7 @@ def optimize_mesh(mesh: TetMesh, config: RunConfig,
                 drift_percent=drift,
                 elapsed_s=time.perf_counter() - t_pass,
                 patches=len(patches),
+                chunks=sum(p.chunks for p in patches),
                 max_patch_dofs=max(3 * len(p.free_vertices) for p in patches),
                 stalled_seeds=stalled_seeds,
                 **counts,
@@ -340,8 +394,8 @@ def optimize_mesh(mesh: TetMesh, config: RunConfig,
             if on_pass is not None:
                 on_pass(record)
             logger.info(
-                "pass %d (b=%.2f): q_min %.4f -> %.4f, %d patches, %d stalled, %.3fs",
-                pass_index, b, q_min_before, q_min_after, len(patches), record.stalled,
+                "pass %d (b=%.2f): q_min %.4f -> %.4f, %d waves of %d chunks, %d stalled, %.3fs",
+                pass_index, b, q_min_before, q_min_after, record.patches, record.chunks, record.stalled,
                 record.elapsed_s,
             )
             if q_min_after - q_min_before < CONVERGENCE_TOL:

@@ -46,6 +46,15 @@ def test_bad_flags_exit_3(tmp_path, sliver_mesh_file):
     assert run_cli([str(sliver_mesh_file), "-o", "x.mesh", "--unknown-flag"]) == 3
 
 
+@pytest.mark.parametrize("flag", [["--target-quality", "nan"], ["--feature-angle", "0"],
+                                  ["--feature-angle", "-5"], ["--feature-angle", "181"]])
+def test_config_values_that_would_stop_all_motion_exit_3(tmp_path, sliver_mesh_file, capsys, flag):
+    out = tmp_path / "out.mesh"
+    assert run_cli([str(sliver_mesh_file), "-o", str(out), *flag]) == 3
+    assert not out.exists()
+    assert flag[0].lstrip("-").replace("-", " ") in capsys.readouterr().err
+
+
 def test_structural_error_exit_2(tmp_path):
     # a face shared by three tets
     vertices = np.array([

@@ -3,12 +3,13 @@ import pytest
 
 import tetforge.driver
 import tetforge.solver
-from tetforge.barrier import compute_gamma
-from tetforge.driver import MAX_PATCH_VERTICES, RunConfig, optimize_mesh, select_patches
+from tetforge.barrier import BarrierParams, assemble_patch_system, compute_gamma
+from tetforge.driver import MAX_PATCH_VERTICES, Patch, RunConfig, _seed_chunks, optimize_mesh, select_patches
 from tetforge.fixtures import generate_test_mesh
 from tetforge.mesh import TetMesh, VertexClass, dihedral_angles_batch, tet_volumes
 from tetforge.metrics import global_metrics
 from tetforge.quality import quality_batch
+from tetforge.solver import newton_direction
 from tetforge.topology import build_topology
 
 
@@ -165,6 +166,24 @@ def _merged_grid():
     return mesh, build_topology(mesh)
 
 
+def _chunks(mesh, adjacency, target, mode="selective"):
+    """(seeds, free vertices, ring tets) of every seed chunk, worst seed first, as selection builds them."""
+    movable = _movable_set(mesh)
+    qualities = quality_batch(mesh.tet_points())
+    seeds = np.arange(mesh.num_tets) if mode == "all-patches" else np.flatnonzero(qualities < target)
+    seeds = seeds[np.lexsort((seeds, qualities[seeds]))]
+    if mode == "all-patches":
+        groups = [[i] for i in range(len(seeds))]
+    else:
+        groups = _seed_chunks([set(mesh.tets[t].tolist()) & movable for t in seeds], MAX_PATCH_VERTICES)
+    out = []
+    for group in groups:
+        free = sorted({v for t in seeds[group] for v in mesh.tets[t].tolist()} & movable)
+        if free:
+            out.append((set(seeds[group].tolist()), set(free), set(adjacency.ring_tets(free).tolist())))
+    return out
+
+
 def test_large_seed_groups_split_into_connected_capped_chunks():
     mesh, adjacency = _merged_grid()
     movable = _movable_set(mesh)
@@ -173,24 +192,96 @@ def test_large_seed_groups_split_into_connected_capped_chunks():
     groups = _groups_of_seeds(mesh, seeds, movable)
     group_free = [{v for t in g for v in mesh.tets[t].tolist()} & movable for g in groups]
     assert max(len(free) for free in group_free) == 964
-    patches = select_patches(mesh, adjacency, target_quality=0.5, surface_motion=True)
-    assert max(len(p.free_vertices) for p in patches) <= MAX_PATCH_VERTICES
-    # every seed is in exactly one patch
-    assert sorted(t for p in patches for t in p.seed_tets.tolist()) == sorted(seeds.tolist())
-    worst = [qualities[p.seed_tets].min() for p in patches]
+    chunks = _chunks(mesh, adjacency, 0.5)
+    assert max(len(free) for _, free, _ in chunks) <= MAX_PATCH_VERTICES
+    # every seed is in exactly one chunk
+    assert sorted(t for chunk, _, _ in chunks for t in chunk) == sorted(seeds.tolist())
+    worst = [qualities[list(chunk)].min() for chunk, _, _ in chunks]
     assert worst == sorted(worst)
-    for patch in patches:
-        chunk = set(patch.seed_tets.tolist())
+    for chunk, free, _ in chunks:
         # the seeds of a chunk are connected, and its free vertices are theirs
-        assert len(_groups_of_seeds(mesh, patch.seed_tets, movable)) == 1
-        assert set(patch.free_vertices.tolist()) == {v for t in chunk for v in mesh.tets[t].tolist()} & movable
+        assert len(_groups_of_seeds(mesh, list(chunk), movable)) == 1
+        assert free == {v for t in chunk for v in mesh.tets[t].tolist()} & movable
         # a chunk lies in one group; free vertices of different groups are disjoint
         (group,) = [i for i, g in enumerate(groups) if g & chunk]
         assert chunk <= groups[group]
-        assert set(patch.free_vertices.tolist()) <= group_free[group]
+        assert free <= group_free[group]
     for i, a in enumerate(group_free):
         for b in group_free[i + 1:]:
             assert not a & b
+
+
+@pytest.mark.parametrize("mode", ["selective", "all-patches"])
+def test_waves_pack_disjoint_rings_in_dependency_order(mode):
+    if mode == "selective":
+        mesh, adjacency = _merged_grid()
+        target = 0.5
+    else:
+        mesh = generate_test_mesh("with-slivers", 4, seed=2, k=3, jitter=0.08)
+        adjacency = build_topology(mesh)
+        target = 0.3
+    qualities = quality_batch(mesh.tet_points())
+    chunks = _chunks(mesh, adjacency, target, mode)
+    waves = select_patches(mesh, adjacency, target, mode=mode)
+    assert 1 < len(waves) < len(chunks)
+    assert all(len(wave.free_vertices) <= MAX_PATCH_VERTICES for wave in waves)
+    # every seed is in exactly one wave, and every chunk whole in one wave
+    wave_of = {t: w for w, wave in enumerate(waves) for t in wave.seed_tets.tolist()}
+    assert sum(len(wave.seed_tets) for wave in waves) == len(wave_of) == sum(len(c) for c, _, _ in chunks)
+    chunk_wave = []
+    for seeds, _, _ in chunks:
+        (w,) = {wave_of[t] for t in seeds}
+        chunk_wave.append(w)
+    worst = [qualities[wave.seed_tets].min() for wave in waves]
+    assert worst == sorted(worst)
+    for w, wave in enumerate(waves):
+        held = [chunk for chunk, cw in zip(chunks, chunk_wave) if cw == w]
+        assert wave.chunks == len(held)
+        for name, k in (("seed_tets", 0), ("free_vertices", 1), ("ring_tets", 2)):
+            assert getattr(wave, name).tolist() == sorted(v for chunk in held for v in chunk[k]), name
+        # the chunks of one wave have pairwise disjoint rings
+        assert len(set(wave.ring_tets.tolist())) == sum(len(ring) for _, _, ring in held)
+    # two chunks whose rings share a tet are solved in the order of their worst seeds
+    dependent = 0
+    for i, (_, _, ring_i) in enumerate(chunks):
+        for j in range(i + 1, len(chunks)):
+            if ring_i & chunks[j][2]:
+                assert chunk_wave[i] < chunk_wave[j]
+                dependent += 1
+    assert dependent > 0
+
+
+def test_wave_system_is_block_diagonal_over_its_chunks():
+    mesh = generate_test_mesh("grid", 4, seed=3, jitter=0.2)
+    adjacency = build_topology(mesh)
+    params = BarrierParams.from_quality(float(quality_batch(mesh.tet_points()).min()), 0.75)
+    chunks = _chunks(mesh, adjacency, 0.3, "all-patches")
+    checked = 0
+    for wave in select_patches(mesh, adjacency, 0.3, mode="all-patches"):
+        system = assemble_patch_system(mesh, wave, params)
+        dx, tau = newton_direction(system.S, system.f)
+        dofs, steps = [], []  # of each chunk of the wave
+        for seeds, free, ring in chunks:
+            if not seeds <= set(wave.seed_tets.tolist()):
+                continue
+            free = sorted(free)
+            own = assemble_patch_system(
+                mesh, Patch(seed_tets=np.array(sorted(seeds)), free_vertices=np.array(free),
+                            ring_tets=np.array(sorted(ring))), params)
+            dofs.append((3 * np.searchsorted(wave.free_vertices, free)[:, None] + np.arange(3)).reshape(-1))
+            steps.append(newton_direction(own.S, own.f))
+        if len(dofs) < 2 or tau != 0.0 or any(t != 0.0 for _, t in steps):
+            continue
+        block = np.full(len(system.f), -1)
+        for k, d in enumerate(dofs):
+            block[d] = k
+        assert (block >= 0).all()
+        # S vanishes between chunks, and the wave's step is each chunk's own
+        assert not system.S[block[:, None] != block[None, :]].any()
+        for d, (step, _) in zip(dofs, steps):
+            assert np.linalg.norm(dx[d] - step) <= 1e-12 * np.linalg.norm(step)
+        checked += 1
+    assert checked > 0
 
 
 def test_chunks_do_not_depend_on_numbering():
@@ -368,6 +459,12 @@ def test_config_validation():
         RunConfig(mode="bogus").validate()
     with pytest.raises(ValueError):
         RunConfig(max_passes=0).validate()
+    with pytest.raises(ValueError, match="target quality"):
+        RunConfig(target_quality=float("nan")).validate()
+    for angle in (0.0, -5.0, 180.5, float("nan")):
+        with pytest.raises(ValueError, match="feature angle"):
+            RunConfig(feature_angle_deg=angle).validate()
+    RunConfig(feature_angle_deg=180.0).validate()
 
 
 def test_report_serializable():
@@ -414,7 +511,8 @@ def test_pass_metrics_equal_whole_mesh_recompute(kind):
 def test_pass_counters_deterministic_and_nonzero():
     import json
 
-    fields = ("newton_iterations", "shifted_solves", "barrier_rejections", "max_patch_dofs", "stalled_seeds")
+    fields = ("patches", "chunks", "newton_iterations", "shifted_solves", "barrier_rejections", "max_patch_dofs",
+              "stalled_seeds")
     runs = []
     for _ in range(2):
         mesh = generate_test_mesh("with-slivers", 3, seed=1, k=1, jitter=0.05)
@@ -427,8 +525,11 @@ def test_pass_counters_deterministic_and_nonzero():
         assert any(values), name
     parsed = json.loads(json.dumps(report.to_dict()))
     assert [[p[name] for name in fields] for p in parsed["passes"]] == runs[0]
+    # every tet with a movable vertex is a one-seed chunk, and the waves pack them
+    movable_tets = int((mesh.vertex_class[mesh.tets] != VertexClass.CORNER).any(axis=1).sum())
     for record in report.passes:
         assert (record.stalled == 0) == (record.stalled_seeds == [])
+        assert record.chunks == movable_tets > record.patches
 
 
 def test_round_off_armijo_failures_are_not_stalls():
