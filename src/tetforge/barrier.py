@@ -14,10 +14,21 @@ gradient forces and what the finite-difference checks in the test suite pin
 down.  It is quality.py's entry formula with c1 = I'(q) and c2 = I''(q).
 
 Patch assembly sums only the entries whose vertex slots are free.  A
-`PatchPlan`, built once per patch solve from connectivity alone, gives each
-ring element a 4-bit mask of its free slots and reads the element's free
-coordinates and Hessian entries off constant tables for the 16 masks; it
-keeps them as int32 flat indices, with the (m, 12) index of the ring
+`PatchPlan`, built once per patch solve from connectivity alone, splits the
+ring into two groups by the number of free slots of each element, those
+with exactly one first.  Such an element, free in slot i only, needs the
+one 3x3 block (i, i), where H_V is 0 and H_S is 6 I_3 (quality.py), so its
+Hessian block and gradient part are
+
+    6 c1 B I_3 + G^T M G   and   c1 (A grad_i V + B grad_i S),
+
+with G = [grad_i V; grad_i S] (2 x 3) and M = c1 N + c2 (A, B)^T (A, B)
+= [[c2 A^2, c1 n01 + c2 A B], [c1 n01 + c2 A B, c1 n11 + c2 B^2]], all read
+off the kernel's grads and coef.  Every other element goes through
+`quality.derivatives`: its 4-bit mask of free slots picks its free
+coordinates and Hessian entries off constant tables for the 16 masks.
+Both groups end in one scatter-add each for f and S.  The plan keeps its
+indices as int32 flat arrays, with the (m, 12) index of the ring
 coordinates that the assembly and the line search both read.
 """
 
@@ -28,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tetforge.errors import BarrierViolationError
-from tetforge.quality import CURVATURE_COLUMN, derivatives, quality_diff_batch
+from tetforge.quality import CURVATURE_COLUMN, QualityTerms, derivatives, quality_diff_batch
 
 _XYZ4 = np.tile(np.arange(3, dtype=np.int32), 4)
 
@@ -94,19 +105,34 @@ _FREE_COORDS = np.repeat((np.arange(16)[:, None] & _SLOT_BITS) > 0, 3, axis=1)
 _FREE_ENTRIES = (_FREE_COORDS[:, :, None] & _FREE_COORDS[:, None, :]).reshape(16, 144)
 
 
+# The masks with one free slot; (grad V, grad S) of slot 0 in an element's
+# (2, 12) grads; the 9 entries of a 3x3 block as (row, column) offsets from
+# its first DOF.
+_ONE_SLOT = _FREE_COORDS[:, ::3].sum(axis=1) == 1
+_SLOT0_GRADS = np.array([0, 1, 2, 12, 13, 14], dtype=np.int32)
+_BLOCK_ROW, _BLOCK_COL = np.divmod(np.arange(9, dtype=np.int32), 3)
+
+
 @dataclass
 class PatchPlan:
     """Connectivity-only index arrays for assembling one patch.
 
-    ring, free : ring element ids; free vertex ids, free[i] owning DOFs 3i..3i+2
+    ring, free : ring element ids, the len(single) with one free slot
+        first, each group in patch order; free vertex ids, free[i] owning
+        DOFs 3i..3i+2
     coords : (m, 12) index into mesh.vertices.reshape(-1) of each ring
         element's coordinates, read by the assembly and the line search
-    grad_index, grad_dof : flat (m*12) gradient entries of free slots and
-        the DOF each lands in
-    entry, curv : the Hessian entries (e, r, c) between free coordinates,
-        as `quality.derivatives` takes them
-    scatter : flat row-major index into S of each; all are int32, which
-        holds n * n for any S that fits in memory
+    grad_index, grad_dof : flat (m*12) gradient entries of free slots, in
+        order, and the DOF each lands in; the first 3 len(single) are the
+        gradient DOFs of the one-slot elements
+    single : (k, 6) flat index into the kernel's (m, 2, 12) grads of
+        (grad_i V, grad_i S) for the free slot i of each one-slot element
+    entry, curv : the Hessian entries (e, r, c) between free coordinates of
+        the other elements, e counted from the first of them, as
+        `quality.derivatives` takes them
+    scatter : flat row-major index into S of the 9 block entries of each
+        one-slot element, then of each entry; all are int32, which holds
+        n * n for any S that fits in memory
     """
 
     ring: np.ndarray
@@ -114,6 +140,7 @@ class PatchPlan:
     coords: np.ndarray
     grad_index: np.ndarray
     grad_dof: np.ndarray
+    single: np.ndarray
     entry: np.ndarray
     curv: np.ndarray
     scatter: np.ndarray
@@ -134,14 +161,27 @@ def plan_patch(mesh, patch) -> PatchPlan:
     slot_dof[free] = np.arange(0, n, 3, dtype=np.int32)
     slot_dof = slot_dof[tets]
     mask = (slot_dof >= 0) @ _SLOT_BITS
+    one_slot = _ONE_SLOT[mask]
+    order = np.argsort(~one_slot, kind="stable")
+    ring, tets, slot_dof, mask = ring[order], tets[order], slot_dof[order], mask[order]
+    k = int(np.count_nonzero(one_slot))
     dof = (slot_dof.repeat(3, axis=1) + _XYZ4).reshape(-1)  # of each of the 12 m coordinates, where free
     grad_index = np.flatnonzero(_FREE_COORDS[mask]).astype(np.int32)
-    entry = np.flatnonzero(_FREE_ENTRIES[mask]).astype(np.int32)  # 144 e + 12 r + c
+    grad_dof = dof[grad_index]
+
+    start = grad_index[:3 * k:3]  # 12 e + 3 i for one-slot element e, free in slot i
+    single = (start + 12 * np.arange(k, dtype=np.int32))[:, None] + _SLOT0_GRADS
+    first = grad_dof[:3 * k:3, None]
+    block = (first + _BLOCK_ROW) * n + first + _BLOCK_COL
+
+    entry = np.flatnonzero(_FREE_ENTRIES[mask[k:]]).astype(np.int32)  # 144 e + 12 r + c
     row, elem = entry // 12, entry // 144  # 12 e + r and e
     col = entry - 12 * row + 12 * elem  # 12 e + c
+    many = dof[12 * k:]
     return PatchPlan(ring=ring, free=free, coords=(3 * tets).astype(np.int32).repeat(3, axis=1) + _XYZ4,
-                     grad_index=grad_index, grad_dof=dof[grad_index], entry=entry,
-                     curv=39 * elem + CURVATURE_COLUMN.take(entry - 144 * elem), scatter=dof[row] * n + dof[col])
+                     grad_index=grad_index, grad_dof=grad_dof, single=single, entry=entry,
+                     curv=39 * elem + CURVATURE_COLUMN.take(entry - 144 * elem),
+                     scatter=np.concatenate([block.reshape(-1), many[row] * n + many[col]]))
 
 
 @dataclass
@@ -191,7 +231,23 @@ def assemble_patch_system(mesh, patch, params: BarrierParams, plan: PatchPlan | 
     inv = 1.0 / (q - gamma)
     c1, c2 = q / (1.0 - gamma) - inv, 1.0 / (1.0 - gamma) + inv * inv
 
-    grad, hess = derivatives(x, terms, c1, c2, plan.entry, plan.curv)
-    f = np.bincount(plan.grad_dof, weights=grad.take(plan.grad_index), minlength=n)
-    S = np.bincount(plan.scatter, weights=hess, minlength=n * n).reshape(n, n)
+    # one-slot elements: rows M G and c1 (A, B) G, then G^T M G and the diagonal 6 c1 B
+    k = len(plan.single)
+    g = terms.grads.take(plan.single).reshape(k, 2, 3)
+    a, b, n01, n11 = terms.coef[:k].T
+    u1, u2 = c1[:k], c2[:k]
+    w = np.empty((k, 3, 2))
+    w[:, 0, 0] = u2 * a * a
+    w[:, 0, 1] = w[:, 1, 0] = u1 * n01 + u2 * a * b
+    w[:, 1, 1] = u1 * n11 + u2 * b * b
+    np.multiply(u1[:, None], terms.coef[:k, :2], out=w[:, 2])
+    rows = np.matmul(w, g)
+    blocks = np.matmul(g.transpose(0, 2, 1), rows[:, :2]).reshape(k, 9)
+    blocks[:, ::4] += (6.0 * u1 * b)[:, None]
+
+    many = QualityTerms(q=q[k:], grads=terms.grads[k:], coef=terms.coef[k:])
+    grad, hess = derivatives(x[k:], many, c1[k:], c2[k:], plan.entry, plan.curv)
+    grad = np.concatenate([rows[:, 2].reshape(-1), grad.take(plan.grad_index[3 * k:] - 12 * k)])
+    f = np.bincount(plan.grad_dof, weights=grad, minlength=n)
+    S = np.bincount(plan.scatter, weights=np.concatenate([blocks.reshape(-1), hess]), minlength=n * n).reshape(n, n)
     return PatchSystem(S=S, f=f, objective=float(val.sum()), plan=plan)

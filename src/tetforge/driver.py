@@ -315,8 +315,9 @@ class _TetMeasures:
         return self.volume, self.quality, self.angles
 
     def dihedral_range(self) -> tuple:
-        finite = self.angles[np.isfinite(self.angles)]
-        return (float(finite.min()), float(finite.max())) if finite.size else (np.nan, np.nan)
+        """Smallest and largest angle, skipping NaN ones; NaN if all are."""
+        angles = self.angles.reshape(-1)
+        return float(np.fmin.reduce(angles)), float(np.fmax.reduce(angles))
 
 
 def optimize_mesh(mesh: TetMesh, config: RunConfig,

@@ -95,21 +95,23 @@ class TetMesh:
         internal surface such as a crack face; one matching no tet face, or
         shared by more, is rejected.  Inverted tets are valid input, but a
         tet whose quality is not finite (all four vertices at one point) is
-        not.
+        not, and neither is a mesh without tets: there is nothing to improve
+        or measure.
         """
         nv = self.num_vertices
         if not np.all(np.isfinite(self.vertices)):
             raise MeshStructureError("non-finite vertex coordinates")
-        if self.num_tets:
-            if self.tets.min() < 0 or self.tets.max() >= nv:
-                raise MeshStructureError("tet vertex index out of range")
-            if any(np.any(self.tets[:, i] == self.tets[:, j]) for i, j in TET_EDGES):
-                raise MeshStructureError("tet with repeated vertex")
-            from tetforge.quality import quality_batch  # quality imports this module
+        if not self.num_tets:
+            raise MeshStructureError("mesh has no tetrahedra")
+        if self.tets.min() < 0 or self.tets.max() >= nv:
+            raise MeshStructureError("tet vertex index out of range")
+        if any(np.any(self.tets[:, i] == self.tets[:, j]) for i, j in TET_EDGES):
+            raise MeshStructureError("tet with repeated vertex")
+        from tetforge.quality import quality_batch  # quality imports this module
 
-            bad = ~np.isfinite(quality_batch(self.tet_points()))
-            if np.any(bad):
-                raise MeshStructureError(f"tet {int(np.argmax(bad))} is degenerate: its quality is not finite")
+        bad = ~np.isfinite(quality_batch(self.tet_points()))
+        if np.any(bad):
+            raise MeshStructureError(f"tet {int(np.argmax(bad))} is degenerate: its quality is not finite")
         if len(self.surface_tris):
             if self.surface_tris.min() < 0 or self.surface_tris.max() >= nv:
                 raise MeshStructureError("surface triangle index out of range")
@@ -188,31 +190,48 @@ def tet_volumes(points: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", e1, _cross_rows(e2, e3)) / 6.0
 
 
+def _cross_columns(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Column-wise cross product of (3, m) arrays into out."""
+    np.subtract(a[1] * b[2], a[2] * b[1], out=out[0])
+    np.subtract(a[2] * b[0], a[0] * b[2], out=out[1])
+    np.subtract(a[0] * b[1], a[1] * b[0], out=out[2])
+
+
+# The two faces along each edge of TET_EDGES: those opposite its two opposite slots.
+_EDGE_FACES = np.array(TET_EDGE_OPPOSITE).T
+
+
 def dihedral_angles_batch(points: np.ndarray) -> np.ndarray:
     """Six interior dihedral angles in degrees for each tet in (m, 4, 3).
 
-    Angle k lies along TET_EDGES[k].  Degenerate edges produce NaN rather
-    than raising; the scalar wrapper turns those into errors.
+    Angle k lies along TET_EDGES[k], between the faces opposite slots a and
+    b of TET_EDGE_OPPOSITE[k]: with N_a, N_b their normals both pointing in
+    (or both out) it is atan2(|N_a x N_b|, -N_a . N_b), for either
+    orientation of the tet.  The work runs on the (12, m) transpose of the
+    coordinates, one contiguous row per coordinate.  An angle along a
+    degenerate face (zero normal, also when an edge of it has zero length)
+    is NaN rather than raising; the scalar wrapper turns those into errors.
     """
-    points = np.asarray(points, dtype=np.float64)
-    m = points.shape[0]
-    out = np.empty((m, 6))
-    for k, ((i, j), (a, b)) in enumerate(zip(TET_EDGES, TET_EDGE_OPPOSITE)):
-        e = points[:, j] - points[:, i]
-        elen = np.linalg.norm(e, axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ehat = e / elen[:, None]
-            va = points[:, a] - points[:, i]
-            vb = points[:, b] - points[:, i]
-            va = va - np.einsum("ij,ij->i", va, ehat)[:, None] * ehat
-            vb = vb - np.einsum("ij,ij->i", vb, ehat)[:, None] * ehat
-            cosv = np.einsum("ij,ij->i", va, vb)
-            sinv = np.linalg.norm(_cross_rows(va, vb), axis=1)
-            ang = np.degrees(np.arctan2(sinv, cosv))
-            bad = (np.linalg.norm(va, axis=1) == 0.0) | (np.linalg.norm(vb, axis=1) == 0.0) | (elen == 0.0)
-        ang[bad] = np.nan
-        out[:, k] = ang
-    return out
+    x = np.ascontiguousarray(np.asarray(points, dtype=np.float64).reshape(-1, 12).T)
+    m = x.shape[1]
+    d1, d2, d3 = x[3:6] - x[:3], x[6:9] - x[:3], x[9:] - x[:3]
+    # the normal of the face opposite slot l is 6 grad V at p_l
+    normals = np.empty((4, 3, m))
+    _cross_columns(d3 - d1, d2 - d1, normals[0])
+    _cross_columns(d2, d3, normals[1])
+    _cross_columns(d3, d1, normals[2])
+    _cross_columns(d1, d2, normals[3])
+    flat = np.einsum("fcm,fcm->fm", normals, normals) == 0.0
+
+    out = np.empty((6, m))
+    cross = np.empty((3, m))
+    for k, (a, b) in enumerate(TET_EDGE_OPPOSITE):
+        _cross_columns(normals[a], normals[b], cross)
+        sin = np.sqrt(np.einsum("cm,cm->m", cross, cross))
+        np.arctan2(sin, -np.einsum("cm,cm->m", normals[a], normals[b]), out=out[k])
+    np.degrees(out, out=out)
+    out[flat[_EDGE_FACES[0]] | flat[_EDGE_FACES[1]]] = np.nan
+    return out.T
 
 
 def dihedral_angles(p0, p1, p2, p3) -> np.ndarray:

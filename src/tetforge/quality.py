@@ -25,8 +25,9 @@ L = c1 (n01 grad V + n11 grad S / 2):
     a HV_rc + b HS_rc + R_r gq_c + L_r gS_c + gS_r L_c.
 
 `derivatives` evaluates it for the entries asked for: the barrier assembly
-those between free coordinates, `volume_length_diff` (f(q) = q) all 144 of
-one element, which the finite-difference tests pin.
+those between free coordinates of elements with two or more free vertices
+(barrier.py has the closed form for one), `volume_length_diff` (f(q) = q)
+all 144 of one element, which the finite-difference tests pin.
 """
 
 from __future__ import annotations

@@ -67,6 +67,20 @@ def test_structural_error_exit_2(tmp_path):
     assert run_cli([str(path), "-o", str(tmp_path / "out.mesh")]) == 2
 
 
+@pytest.mark.parametrize("name, text", [
+    ("empty.mesh", "MeshVersionFormatted 2\nDimension 3\nVertices\n1\n0 0 0 0\nTetrahedra\n0\nEnd\n"),
+    ("empty.vtk", "# vtk DataFile Version 3.0\nno tets\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+                  "POINTS 1 double\n0 0 0\nCELLS 0 0\nCELL_TYPES 0\n"),
+], ids=["medit", "vtk"])
+def test_mesh_without_tets_exits_2(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    out = tmp_path / "out.mesh"
+    assert run_cli([str(path), "-o", str(out)]) == 2
+    assert not out.exists()
+    assert "no tetrahedra" in capsys.readouterr().err
+
+
 def test_histogram_of_regular_tet(tmp_path, regular_tet):
     mesh = TetMesh(vertices=regular_tet, tets=np.array([[0, 1, 2, 3]]))
     path = tmp_path / "reg.mesh"

@@ -9,11 +9,13 @@ from tetforge.errors import DegenerateTetError, MeshFormatError, MeshStructureEr
 from tetforge.fixtures import generate_test_mesh
 from tetforge.io import load_mesh, save_mesh
 from tetforge.mesh import (
+    TET_EDGE_OPPOSITE,
     TET_EDGES,
     TET_FACES,
     TetMesh,
     VertexClass,
     dihedral_angles,
+    dihedral_angles_batch,
     group_faces,
     surface_enclosed_volume,
     tet_signed_volume,
@@ -86,6 +88,48 @@ def test_degenerate_tet_rejected():
     p = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.5, 0.5, 0.0]], dtype=float)
     with pytest.raises(DegenerateTetError):
         dihedral_angles(*p)
+
+
+def per_edge_dihedral_angles(points):
+    """Reference angles: per edge, the angle between the two other vertices projected off the edge."""
+    out = np.empty((len(points), 6))
+    for k, ((i, j), (a, b)) in enumerate(zip(TET_EDGES, TET_EDGE_OPPOSITE)):
+        e = points[:, j] - points[:, i]
+        elen = np.linalg.norm(e, axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ehat = e / elen[:, None]
+            va = points[:, a] - points[:, i]
+            vb = points[:, b] - points[:, i]
+            va = va - np.einsum("ij,ij->i", va, ehat)[:, None] * ehat
+            vb = vb - np.einsum("ij,ij->i", vb, ehat)[:, None] * ehat
+            ang = np.degrees(np.arctan2(np.linalg.norm(np.cross(va, vb), axis=1), np.einsum("ij,ij->i", va, vb)))
+        bad = (np.linalg.norm(va, axis=1) == 0.0) | (np.linalg.norm(vb, axis=1) == 0.0) | (elen == 0.0)
+        out[:, k] = np.where(bad, np.nan, ang)
+    return out
+
+
+def test_dihedral_batch_matches_per_edge_formula():
+    # random tets of both orientations, away from the origin, some nearly flat
+    rng = np.random.default_rng(17)
+    points = rng.random((4000, 4, 3)) + np.array([3.0, -2.0, 5.0])
+    points[:200, 3] = points[:200, :3].mean(axis=1) + 1e-6 * rng.standard_normal((200, 3))
+    assert (tet_volumes(points) < 0).any() and (tet_volumes(points) > 0).any()
+    angles = dihedral_angles_batch(points)
+    assert angles.shape == (4000, 6)
+    assert np.abs(angles - per_edge_dihedral_angles(points)).max() <= 1e-10
+
+
+def test_dihedral_batch_degenerate_face_is_nan():
+    # p3 on edge p0-p1: face (0, 1, 3) has zero area, so the angles along its edges are undefined
+    p = np.array([[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.5, 0, 0]],
+                  [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]], dtype=float)
+    angles = dihedral_angles_batch(p)
+    along_face = [TET_EDGES.index(e) for e in ((0, 1), (0, 3), (1, 3))]
+    assert np.isnan(angles[0, along_face]).all()
+    assert not np.isnan(np.delete(angles, along_face, axis=1)).any()
+    assert np.array_equal(np.isnan(per_edge_dihedral_angles(p)), np.isnan(angles))
+    finite = np.isfinite(angles)
+    assert np.abs(angles[finite] - per_edge_dihedral_angles(p)[finite]).max() <= 1e-10
 
 
 @settings(max_examples=40, deadline=None)
