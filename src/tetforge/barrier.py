@@ -11,21 +11,22 @@ The per-element Hessian of I is the true second derivative,
   (1/(1-gamma) + 1/(q-gamma)^2) grad q grad q^T + I'(q) hess q;
 note the plus sign on the rank-one term, which is what differentiating the
 gradient forces and what the finite-difference checks in the test suite pin
-down.  It is quality.py's entry formula with c1 = I'(q) and c2 = I''(q).
+down.  With c1 = I'(q) and c2 = I''(q) it is quality.py's one formula
+
+    G^T M G + c1 (A H_V + B H_S),    M = c1 N + c2 (A, B)^T (A, B),
+
+with G = [grad V; grad S] (2 x 12), and the gradient is c1 (A, B) G, all
+read off the kernel's grads and coef.  The assembly forms M once for the
+whole ring and the gradient as one (m, 12) array.
 
 Patch assembly sums only the entries whose vertex slots are free.  A
 `PatchPlan`, built once per patch solve from connectivity alone, splits the
 ring into two groups by the number of free slots of each element, those
 with exactly one first.  Such an element, free in slot i only, needs the
 one 3x3 block (i, i), where H_V is 0 and H_S is 6 I_3 (quality.py), so its
-Hessian block and gradient part are
-
-    6 c1 B I_3 + G^T M G   and   c1 (A grad_i V + B grad_i S),
-
-with G = [grad_i V; grad_i S] (2 x 3) and M = c1 N + c2 (A, B)^T (A, B)
-= [[c2 A^2, c1 n01 + c2 A B], [c1 n01 + c2 A B, c1 n11 + c2 B^2]], all read
-off the kernel's grads and coef.  Every other element goes through
-`quality.derivatives`: its 4-bit mask of free slots picks its free
+block is G_i^T (M G_i) + 6 c1 B I_3 with G_i the 2 x 3 columns of slot i.
+Every other element goes through `quality.derivatives`, which builds its
+12 x 12 table G^T (M G): its 4-bit mask of free slots picks its free
 coordinates and Hessian entries off constant tables for the 16 masks.
 Both groups end in one scatter-add each for f and S.  The plan keeps its
 indices as int32 flat arrays, with the (m, 12) index of the ring
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tetforge.errors import BarrierViolationError
-from tetforge.quality import CURVATURE_COLUMN, QualityTerms, derivatives, quality_diff_batch
+from tetforge.quality import CURVATURE_COLUMN, derivatives, quality_diff_batch
 
 _XYZ4 = np.tile(np.arange(3, dtype=np.int32), 4)
 
@@ -231,23 +232,18 @@ def assemble_patch_system(mesh, patch, params: BarrierParams, plan: PatchPlan | 
     inv = 1.0 / (q - gamma)
     c1, c2 = q / (1.0 - gamma) - inv, 1.0 / (1.0 - gamma) + inv * inv
 
-    # one-slot elements: rows M G and c1 (A, B) G, then G^T M G and the diagonal 6 c1 B
+    # M = c1 N + c2 (A, B)^T (A, B) and c1 (A, B) for the whole ring
+    a, b, n01, n11 = terms.coef.T
+    off = c1 * n01 + c2 * a * b
+    weights = np.stack([c2 * a * a, off, off, c1 * n11 + c2 * b * b], axis=1).reshape(-1, 2, 2)
+    ab = c1[:, None] * terms.coef[:, :2]
+    grad = np.matmul(ab[:, None], terms.grads)
+
     k = len(plan.single)
     g = terms.grads.take(plan.single).reshape(k, 2, 3)
-    a, b, n01, n11 = terms.coef[:k].T
-    u1, u2 = c1[:k], c2[:k]
-    w = np.empty((k, 3, 2))
-    w[:, 0, 0] = u2 * a * a
-    w[:, 0, 1] = w[:, 1, 0] = u1 * n01 + u2 * a * b
-    w[:, 1, 1] = u1 * n11 + u2 * b * b
-    np.multiply(u1[:, None], terms.coef[:k, :2], out=w[:, 2])
-    rows = np.matmul(w, g)
-    blocks = np.matmul(g.transpose(0, 2, 1), rows[:, :2]).reshape(k, 9)
-    blocks[:, ::4] += (6.0 * u1 * b)[:, None]
-
-    many = QualityTerms(q=q[k:], grads=terms.grads[k:], coef=terms.coef[k:])
-    grad, hess = derivatives(x[k:], many, c1[k:], c2[k:], plan.entry, plan.curv)
-    grad = np.concatenate([rows[:, 2].reshape(-1), grad.take(plan.grad_index[3 * k:] - 12 * k)])
-    f = np.bincount(plan.grad_dof, weights=grad, minlength=n)
+    blocks = np.matmul(g.transpose(0, 2, 1), np.matmul(weights[:k], g)).reshape(k, 9)
+    blocks[:, ::4] += 6.0 * ab[:k, 1:]
+    hess = derivatives(terms.grads[k:], terms.edges[k:], ab[k:], weights[k:], plan.entry, plan.curv)
+    f = np.bincount(plan.grad_dof, weights=grad.take(plan.grad_index), minlength=n)
     S = np.bincount(plan.scatter, weights=np.concatenate([blocks.reshape(-1), hess]), minlength=n * n).reshape(n, n)
     return PatchSystem(S=S, f=f, objective=float(val.sum()), plan=plan)

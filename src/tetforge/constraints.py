@@ -15,7 +15,9 @@ remaining, kept columns span its admissible motion: all three for an
 interior vertex, two on a smooth surface, one on a crease, none at a
 corner or a user-fixed vertex.  The frame comes from the SVD of the
 vertex's unit normals with rank tolerance PIVOT_TOL, so dependent normals
-simply add no rank.
+simply add no rank.  A patch's frames are built at once: one gather of the
+cluster triangles of all its surface vertices, one sum of area normals per
+(vertex, cluster), and one stacked SVD per cluster count.
 
 The constrained Newton step is the null-space step (Nocedal & Wright,
 Numerical Optimization, 16.2): with T the kept columns of the block
@@ -42,6 +44,9 @@ logger = logging.getLogger("tetforge")
 
 PIVOT_TOL = 1e-10
 
+# vertex class codes, compared as plain ints: an array compare against an IntEnum member is slower
+_INTERIOR, _SMOOTH, _CREASE = int(VertexClass.INTERIOR), int(VertexClass.SURFACE_SMOOTH), int(VertexClass.FEATURE_EDGE)
+
 
 @dataclass
 class ConstraintSystem:
@@ -66,32 +71,17 @@ class ConstraintSystem:
         return np.einsum("iab,ib->ia", self.frames, y).reshape(-1)
 
 
-def _cluster_normals(v: int, mesh: TetMesh, adjacency: AdjacencyIndex, floor: float):
-    """Unit resultant normal of each normal cluster of vertex v, in the order found.
-
-    Returns None if v has no cluster or a cluster whose area-weighted
-    resultant is shorter than floor (opposing faces cancelling).
-    """
-    normals = []
-    for tris in adjacency.normal_groups(v):
-        n = triangle_area_normals(mesh.vertices, mesh.surface_tris[tris]).sum(axis=0)
-        norm = float(np.linalg.norm(n))
-        if norm < floor:
-            return None
-        normals.append(n / norm)
-    return normals or None
-
-
 def tangent_frame(normals):
     """Orthonormal frame whose leading columns span the given unit normals.
 
-    Returns (frame, keep): the columns of the 3x3 frame with keep True span
-    the directions orthogonal to every normal.  Singular values below
-    PIVOT_TOL relative to the largest count as dependent and add no rank.
+    normals is (c, 3), or a stack (..., c, 3) of such sets.  Returns (frame,
+    keep): the columns of each 3x3 frame with keep True span the directions
+    orthogonal to every normal of its set.  Singular values below PIVOT_TOL
+    relative to the largest count as dependent and add no rank.
     """
     _, s, vt = np.linalg.svd(np.atleast_2d(normals))
-    rank = int((s > PIVOT_TOL * s[0]).sum())
-    return vt.T, np.arange(3) >= rank
+    rank = (s > PIVOT_TOL * s[..., :1]).sum(axis=-1)
+    return np.swapaxes(vt, -1, -2), np.arange(3) >= rank[..., None]
 
 
 def build_constraints(patch, mesh: TetMesh, adjacency: AdjacencyIndex):
@@ -101,32 +91,52 @@ def build_constraints(patch, mesh: TetMesh, adjacency: AdjacencyIndex):
     vertex keeps all three columns, a smooth surface or crease vertex its
     tangent columns, and a corner or user-fixed vertex none, so a vertex
     demoted after the patch was selected stays where it is.  A surface
-    vertex whose normals degenerate is reclassified as a corner in place and
-    keeps no column.  Returns (ConstraintSystem, demoted), demoted listing
-    the vertices reclassified by this call.
+    vertex with no cluster, or with a cluster whose resultant is shorter
+    than a floor (opposing faces cancelling), is reclassified as a corner
+    in place and keeps no column.  Returns (ConstraintSystem, demoted),
+    demoted listing the vertices reclassified by this call, in free-vertex
+    order.
     """
-    free = patch.free_vertices
+    free = np.asarray(patch.free_vertices, dtype=np.int64)
+    cls = mesh.vertex_class[free]
     frames = np.tile(np.eye(3), (len(free), 1, 1))
-    keep = np.ones((len(free), 3), dtype=bool)
-    demoted = []
-    floor = None
-    for i, v in enumerate(free):
-        cls = int(mesh.vertex_class[v])
-        if cls == VertexClass.INTERIOR:
-            continue
-        if cls == VertexClass.SURFACE_SMOOTH or cls == VertexClass.FEATURE_EDGE:
-            if floor is None:  # the scale reads the whole mesh: once per call, and only with surface vertices
-                scale = float(np.abs(mesh.vertices).max()) or 1.0
-                floor = 1e-14 * scale * scale
-            normals = _cluster_normals(v, mesh, adjacency, floor)
-            if normals is not None:
-                frames[i], keep[i] = tangent_frame(normals)
-                continue
-            mesh.vertex_class[v] = VertexClass.CORNER
-            demoted.append(int(v))
-            logger.debug("vertex %d demoted to corner: degenerate normal", v)
-        keep[i] = False  # corner or user-fixed
-    return ConstraintSystem(frames=frames, keep=keep), demoted
+    keep = np.repeat((cls == _INTERIOR)[:, None], 3, axis=1)
+    surface = np.flatnonzero((cls == _SMOOTH) | (cls == _CREASE))
+    if len(surface) == 0:
+        return ConstraintSystem(frames=frames, keep=keep), []
+
+    # the vertex_tris slots of every surface vertex, and the cluster each slot's triangle joined
+    incidence = adjacency.vertex_tris
+    lo = incidence.indptr[free[surface]]
+    count = incidence.indptr[free[surface] + 1] - lo
+    owner = np.repeat(np.arange(len(surface)), count)
+    slot = np.arange(len(owner)) + np.repeat(lo - np.cumsum(count) + count, count)
+    label = adjacency.tri_cluster[slot]
+    joined = label >= 0
+    owner, slot, label = owner[joined], slot[joined], label[joined]
+    width = int(label.max(initial=0)) + 1
+    present = np.zeros((len(surface), width), dtype=bool)
+    present[owner, label] = True
+    clusters = present.sum(axis=1)
+    # one sum of area normals per (vertex, cluster), each in slot order
+    area = triangle_area_normals(mesh.vertices, mesh.surface_tris[incidence.indices[slot]])
+    key = 3 * (owner * width + label)[:, None] + np.arange(3)
+    resultant = np.bincount(key.reshape(-1), weights=area.reshape(-1),
+                            minlength=3 * width * len(surface)).reshape(len(surface), width, 3)
+    # the norm as 1x3 times 3x1 products, which round like np.linalg.norm of one vector
+    norm = np.sqrt((resultant[:, :, None, :] @ resultant[:, :, :, None])[:, :, 0, 0])
+
+    scale = float(np.abs(mesh.vertices).max()) or 1.0
+    degenerate = (clusters == 0) | ((norm < 1e-14 * scale * scale) & present).any(axis=1)
+    for c in np.unique(clusters[~degenerate]).tolist():
+        rows = np.flatnonzero(~degenerate & (clusters == c))
+        at = surface[rows]
+        frames[at], keep[at] = tangent_frame(resultant[rows, :c] / norm[rows, :c, None])
+    demoted = free[surface[degenerate]]
+    mesh.vertex_class[demoted] = VertexClass.CORNER
+    for v in demoted.tolist():
+        logger.debug("vertex %d demoted to corner: degenerate normal", v)
+    return ConstraintSystem(frames=frames, keep=keep), demoted.tolist()
 
 
 def projector(C: np.ndarray, pivot_tol: float = PIVOT_TOL):

@@ -275,22 +275,6 @@ def select_patches(mesh: TetMesh, adjacency: AdjacencyIndex, target_quality: flo
             for wave in waves]
 
 
-def _run_patch(mesh, adjacency, patch, params, config):
-    """Solve one patch as selected.
-
-    With surface motion the patch's tangent frames are built from the
-    current vertex classes, and they alone restrict the step: a free vertex
-    that is now a corner, demoted by an earlier patch or by this build,
-    keeps no frame column and does not move.
-    """
-    constraints = None
-    if config.surface_motion:
-        constraints, _ = build_constraints(patch, mesh, adjacency)
-        if constraints.num_rows == 0:
-            constraints = None
-    return optimize_patch(mesh, patch, params, constraints=constraints)
-
-
 class _TetMeasures:
     """Per-tet signed volume, quality and dihedral angles.
 
@@ -357,7 +341,15 @@ def optimize_mesh(mesh: TetMesh, config: RunConfig,
             stalled_seeds = []
             touched = np.zeros(mesh.num_tets, dtype=bool)
             for patch in patches:
-                solve = _run_patch(mesh, adjacency, patch, params, config)
+                # the tangent frames, built from the current vertex classes, alone
+                # restrict the step: a free vertex that is now a corner, demoted by an
+                # earlier patch or by this build, keeps no frame column and does not move
+                constraints = None
+                if config.surface_motion:
+                    constraints, _ = build_constraints(patch, mesh, adjacency)
+                    if constraints.num_rows == 0:
+                        constraints = None
+                solve = optimize_patch(mesh, patch, params, constraints=constraints)
                 touched[patch.ring_tets] = True
                 counts["newton_iterations"] += solve.iterations
                 counts["shifted_solves"] += solve.shifted_solves

@@ -58,19 +58,25 @@ def save_mesh(mesh: TetMesh, path, fmt: str | None = None) -> None:
 
 
 def atomic_write_text(path, chunks) -> None:
-    """Write an iterable of str chunks, in order, through a temp file and a rename."""
+    """Write an iterable of str chunks, in order, through a temp file and a rename.
+
+    An OSError names the requested path, not the temp file, and keeps its errno.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".", suffix=".tmp")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w") as fh:
+                fh.writelines(chunks)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 # Rows formatted per string; bounds the text held in memory while writing.

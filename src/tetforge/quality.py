@@ -10,24 +10,25 @@ Elements are (m, 12) rows, x, y, z of p0..p3, or (m, 4, 3) arrays.  All is
 computed from the six edge vectors p_j - p_i, so nothing depends on where
 an element sits, and `quality_batch` shares its steps with the kernel
 `quality_diff_batch`, so both give the same q to the bit.  With S the sum
-of squared edge lengths and q = c V S^(-3/2), the kernel returns q, grad V,
-grad S and the scalars A = c S^(-3/2), B = -3/2 c V S^(-5/2) and the
-entries n01, n11 of N = [[0, n01], [n01, n11]]:
+of squared edge lengths and q = c V S^(-3/2), the kernel returns q, the
+edges, G = [grad V; grad S] (2 x 12) and the scalars A = c S^(-3/2),
+B = -3/2 c V S^(-5/2) and the entries n01, n11 of
+N = [[0, n01], [n01, n11]]:
 
-    Hess q = A H_V + B H_S + [grad V  grad S] N [grad V  grad S]^T.
+    grad q = (A, B) G,    Hess q = A H_V + B H_S + G^T N G.
 
 H_V is linear in the points: each entry is +-(P_s - P_t)/6 for two
 same-axis coordinates of distinct vertices, or 0; H_S = 2 (4 I - 1) (x) I_3.
-For f(q) with f' = c1 and f'' = c2 per element, one formula gives entry
-(r, c) of the Hessian of f, with a = c1 A, b = c1 B, R = c2 grad q and
-L = c1 (n01 grad V + n11 grad S / 2):
+For f(q) with f' = c1 and f'' = c2 per element, one 2 x 2 weight
+M = c1 N + c2 (A, B)^T (A, B) gives
 
-    a HV_rc + b HS_rc + R_r gq_c + L_r gS_c + gS_r L_c.
+    grad f = c1 (A, B) G,    Hess f = G^T M G + c1 (A H_V + B H_S).
 
-`derivatives` evaluates it for the entries asked for: the barrier assembly
+`derivatives` evaluates the Hessian entries asked for: the barrier assembly
 those between free coordinates of elements with two or more free vertices
-(barrier.py has the closed form for one), `volume_length_diff` (f(q) = q)
-all 144 of one element, which the finite-difference tests pin.
+(barrier.py reads the same M for the closed form of one),
+`volume_length_diff` (c1 = 1, c2 = 0, so M = N) all 144 of one element,
+which the finite-difference tests pin.
 """
 
 from __future__ import annotations
@@ -80,11 +81,6 @@ def _curvature_columns() -> np.ndarray:
 CURVATURE_COLUMN = _curvature_columns()
 _HESS_S_VALUES = np.array([6.0, -2.0, 0.0])
 
-# `derivatives` forms rows R, L, grad S, grad q, grad S, L, c1 grad q as (7 x 2) (grad V; grad S)
-# per element, weights taken from u = (A, B, n01, n11, c1 times them, c2 times them, 1).
-_MIX = np.array([8, 9, 6, 7, 12, 12, 0, 1, 12, 12, 6, 7, 4, 5])
-_MIX_SCALE = np.array([1.0, 1.0, 1.0, 0.5, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.5, 1.0, 1.0])
-
 # Elements per pass of quality_batch and of the Hessian tables: bounds the temporaries.
 _BLOCK = 1024
 _TABLE_BLOCK = 256
@@ -101,11 +97,12 @@ class QualityDiff:
 
 @dataclass
 class QualityTerms:
-    """Per-element q (m,), grads (m, 2, 12) = (grad V, grad S) and coef (m, 4) = (A, B, n01, n11)."""
+    """Per-element q (m,), grads (m, 2, 12) = (grad V, grad S), coef (m, 4) = (A, B, n01, n11), edges (m, 18)."""
 
     q: np.ndarray
     grads: np.ndarray
     coef: np.ndarray
+    edges: np.ndarray
 
 
 def _edges(points: np.ndarray) -> np.ndarray:
@@ -144,7 +141,7 @@ def quality_batch(points: np.ndarray) -> np.ndarray:
 
 
 def quality_diff_batch(points: np.ndarray) -> QualityTerms:
-    """Quality, grad V, grad S and the coefficients A, B, n01, n11 per tet."""
+    """Quality, grad V, grad S, the coefficients A, B, n01, n11 and the edges per tet."""
     edges = _edges(points)
     cross = _cross(edges, slice(None))
     grads = np.empty((len(edges), 2, 12))
@@ -157,40 +154,33 @@ def quality_diff_batch(points: np.ndarray) -> QualityTerms:
         np.multiply(-1.5 / ssum, coef[:, 0], out=coef[:, 2])
         np.multiply(coef[:, 2], vol, out=coef[:, 1])
         np.multiply(-2.5 / ssum, coef[:, 1], out=coef[:, 3])
-    return QualityTerms(q=q, grads=grads, coef=coef)
+    return QualityTerms(q=q, grads=grads, coef=coef, edges=edges)
 
 
-def derivatives(points: np.ndarray, terms: QualityTerms, c1: np.ndarray, c2: np.ndarray,
-                entry: np.ndarray, curv: np.ndarray):
-    """Gradient c1 grad q (m, 12) and Hessian entries of f(q) per element, f' = c1, f'' = c2.
+def derivatives(grads: np.ndarray, edges: np.ndarray, ab: np.ndarray, weights: np.ndarray,
+                entry: np.ndarray, curv: np.ndarray) -> np.ndarray:
+    """Hessian entries G^T M G + a H_V + b H_S of f(q) per element.
 
-    points are the (m, 12) coordinates `terms` came from.  The entries, by
-    the module docstring's formula, are those at entry = 144 e + 12 r + c
-    (sorted), with curv = 39 e + CURVATURE_COLUMN[r, c].
+    grads and edges are the kernel's, ab (m, 2) is c1 (A, B) and weights
+    (m, 2, 2) is M, as in the module docstring.  The entries are those at
+    entry = 144 e + 12 r + c (sorted), with curv = 39 e + CURVATURE_COLUMN[r, c].
     """
-    m = len(c1)
-    u = np.empty((m, 13))
-    u[:, :4] = terms.coef
-    np.multiply(c1[:, None], terms.coef, out=u[:, 4:8])
-    np.multiply(c2[:, None], terms.coef, out=u[:, 8:12])
-    u[:, 12] = 1.0
-    mix = (u[:, _MIX] * _MIX_SCALE).reshape(m, 7, 2)
-    grad, products = np.empty((m, 12)), np.empty(len(entry))
+    m = len(ab)
+    products = np.empty(len(entry))
     # entry is sorted, so the entries of each block of elements are one slice of it
     cuts = (0, len(entry)) if m <= _TABLE_BLOCK else \
         np.searchsorted(entry, 144 * np.arange(0, m + _TABLE_BLOCK, _TABLE_BLOCK))
     for k, e0 in enumerate(range(0, m, _TABLE_BLOCK)):
-        rows = np.matmul(mix[e0:e0 + _TABLE_BLOCK], terms.grads[e0:e0 + _TABLE_BLOCK])
-        grad[e0:e0 + _TABLE_BLOCK] = rows[:, 6]
-        table = np.matmul(rows[:, :3].transpose(0, 2, 1), rows[:, 3:6])
+        g = grads[e0:e0 + _TABLE_BLOCK]
+        table = np.matmul(g.transpose(0, 2, 1), np.matmul(weights[e0:e0 + _TABLE_BLOCK], g))
         block = entry[cuts[k]:cuts[k + 1]]
         products[cuts[k]:cuts[k + 1]] = table.take(block - 144 * e0 if e0 else block)
     curvature = np.empty((m, 39))
-    np.multiply(_edges(points), u[:, 4:5] / 6.0, out=curvature[:, :18])
+    np.multiply(edges, ab[:, :1] / 6.0, out=curvature[:, :18])
     np.negative(curvature[:, :18], out=curvature[:, 18:36])
-    np.multiply(u[:, 5:6], _HESS_S_VALUES, out=curvature[:, 36:])
+    np.multiply(ab[:, 1:], _HESS_S_VALUES, out=curvature[:, 36:])
     products += curvature.take(curv)
-    return grad, products
+    return products
 
 
 def volume_length_quality(p0, p1, p2, p3) -> float:
@@ -207,5 +197,8 @@ def volume_length_diff(p0, p1, p2, p3) -> QualityDiff:
     terms = quality_diff_batch(points)
     if not np.isfinite(terms.q[0]):
         raise DegenerateTetError("quality undefined: all vertices coincident")
-    grad, hess = derivatives(points, terms, np.ones(1), np.zeros(1), np.arange(144), CURVATURE_COLUMN.reshape(-1))
-    return QualityDiff(q=float(terms.q[0]), grad=grad[0], hess=hess.reshape(12, 12))
+    _, _, n01, n11 = terms.coef[0]
+    ab = terms.coef[:, :2]
+    hess = derivatives(terms.grads, terms.edges, ab, np.array([[[0.0, n01], [n01, n11]]]),
+                       np.arange(144), CURVATURE_COLUMN.reshape(-1))
+    return QualityDiff(q=float(terms.q[0]), grad=ab[0] @ terms.grads[0], hess=hess.reshape(12, 12))

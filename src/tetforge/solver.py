@@ -147,9 +147,8 @@ def line_search(mesh, patch, system: PatchSystem, direction: np.ndarray,
 
 
 def optimize_patch(mesh, patch, params: BarrierParams,
-                   constraints: ConstraintSystem | None = None,
-                   max_inner: int = DEFAULT_MAX_INNER) -> SolveReport:
-    """Run up to max_inner Newton iterations on one patch at fixed gamma.
+                   constraints: ConstraintSystem | None = None) -> SolveReport:
+    """Run up to DEFAULT_MAX_INNER Newton iterations on one patch at fixed gamma.
 
     Constraint frames, when given, are frozen for the whole solve and each
     Newton system is reduced to their tangent columns; the mesh coordinates
@@ -164,7 +163,7 @@ def optimize_patch(mesh, patch, params: BarrierParams,
     """
     report = SolveReport()
     plan = plan_patch(mesh, patch)
-    for _ in range(max_inner):
+    for _ in range(DEFAULT_MAX_INNER):
         system = assemble_patch_system(mesh, patch, params, plan)
         report.objective = system.objective
         if system.ndof == 0:

@@ -53,6 +53,89 @@ def barrier_grad_hess(qd, gamma: float):
     return grad, hess
 
 
+def _permutation_sign(p) -> int:
+    """Sign of a permutation of 0..k-1 given as a sequence, 0 if an index repeats."""
+    if len(set(p)) < len(p):
+        return 0
+    inversions = sum(a > b for n, a in enumerate(p) for b in p[n + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def element_hessian(points, c1: float, c2: float):
+    """Dense gradient and Hessian of f(q) for one tet, f' = c1 and f'' = c2.
+
+    Built from the definitions alone: 6 V = det [1 p_i] is the trilinear
+    form V = (1/36) eps_abc T_jkl p_j^a p_k^b p_l^c, with eps the 3-index
+    Levi-Civita symbol and T_jkl the 4-index one summed over its first
+    index, so H_V = (1/6) eps_abc T_jkl p_l^c; S, the sum of squared edge
+    lengths, is 4 sum |p_i|^2 - |sum p_i|^2.  Then grad V = H_V p / 2,
+    grad S = H_S p, q = C V S^(-3/2) with C = 6 sqrt(2) 6^(3/2), and
+    Hess f = G^T M G + c1 (A H_V + B H_S), M = c1 N + c2 (A, B)^T (A, B).
+    """
+    from itertools import product
+
+    p = np.asarray(points, dtype=np.float64).reshape(4, 3)
+    eps = np.zeros((3, 3, 3))
+    for a, b, c in product(range(3), repeat=3):
+        eps[a, b, c] = _permutation_sign((a, b, c))
+    levi4 = np.zeros((4, 4, 4, 4))
+    for i, j, k, l in product(range(4), repeat=4):
+        levi4[i, j, k, l] = _permutation_sign((i, j, k, l))
+    hess_v = np.einsum("abc,jkl,lc->jakb", eps, levi4.sum(axis=0), p).reshape(12, 12) / 6.0
+    hess_s = np.kron(2.0 * (4.0 * np.eye(4) - np.ones((4, 4))), np.eye(3))
+    x = p.reshape(12)
+    volume, ssum = x @ hess_v @ x / 6.0, x @ hess_s @ x / 2.0
+    G = np.array([hess_v @ x / 2.0, hess_s @ x])
+    C = 6.0 * np.sqrt(2.0) * 6.0 ** 1.5
+    A, B = C * ssum ** -1.5, -1.5 * C * volume * ssum ** -2.5
+    n01, n11 = -1.5 * C * ssum ** -2.5, 3.75 * C * volume * ssum ** -3.5
+    M = c1 * np.array([[0.0, n01], [n01, n11]]) + c2 * np.outer([A, B], [A, B])
+    grad = c1 * np.array([A, B]) @ G
+    return grad, G.T @ M @ G + c1 * (A * hess_v + B * hess_s)
+
+
+def reference_constraints(patch, mesh, adjacency):
+    """The tangent frames of `build_constraints`, one free vertex at a time.
+
+    A smooth or crease vertex sums the area normals of each of its normal
+    clusters (`AdjacencyIndex.normal_groups`) and takes the SVD of its unit
+    cluster normals; one with no cluster, or with a cluster normal shorter
+    than the floor, is demoted to a corner in place.  Returns (frames,
+    keep, demoted).
+    """
+    from tetforge.constraints import tangent_frame
+    from tetforge.mesh import VertexClass, triangle_area_normals
+
+    def cluster_normals(v, floor):
+        normals = []
+        for tris in adjacency.normal_groups(v):
+            n = triangle_area_normals(mesh.vertices, mesh.surface_tris[tris]).sum(axis=0)
+            norm = float(np.linalg.norm(n))
+            if norm < floor:
+                return None
+            normals.append(n / norm)
+        return normals or None
+
+    free = patch.free_vertices
+    frames = np.tile(np.eye(3), (len(free), 1, 1))
+    keep = np.ones((len(free), 3), dtype=bool)
+    demoted = []
+    scale = float(np.abs(mesh.vertices).max()) or 1.0
+    for i, v in enumerate(free):
+        cls = int(mesh.vertex_class[v])
+        if cls == VertexClass.INTERIOR:
+            continue
+        if cls == VertexClass.SURFACE_SMOOTH or cls == VertexClass.FEATURE_EDGE:
+            normals = cluster_normals(v, 1e-14 * scale * scale)
+            if normals is not None:
+                frames[i], keep[i] = tangent_frame(normals)
+                continue
+            mesh.vertex_class[v] = VertexClass.CORNER
+            demoted.append(int(v))
+        keep[i] = False  # corner or user-fixed
+    return frames, keep, demoted
+
+
 def patch_objective(mesh, patch, gamma: float) -> float:
     """Sum of barrier values over the patch ring; +inf on any violation."""
     from tetforge.barrier import barrier_values_batch

@@ -18,7 +18,7 @@ from tetforge.mesh import TetMesh, VertexClass
 from tetforge.quality import quality_batch, quality_diff_batch, volume_length_diff
 from tetforge.topology import build_topology
 
-from conftest import barrier_grad_hess, fd_gradient, fd_hessian, patch_objective, random_tet
+from conftest import barrier_grad_hess, element_hessian, fd_gradient, fd_hessian, patch_objective, random_tet
 
 
 # --- gamma -----------------------------------------------------------------
@@ -318,3 +318,30 @@ def test_every_free_slot_pattern_of_one_tet_matches_dense_sum(mask):
     assert system.S.shape == S.shape == (3 * len(free), 3 * len(free))
     assert np.linalg.norm(system.S - S) <= 1e-13 * np.linalg.norm(S)
     assert np.linalg.norm(system.f - f) <= 1e-13 * np.linalg.norm(f)
+
+
+@pytest.mark.parametrize("mask", range(16))
+def test_element_hessians_match_the_independent_formula(mask):
+    # volume_length_diff, the one-slot blocks (one bit set) and the
+    # multi-slot tables against the dense Hessian built from the Levi-Civita
+    # form of the volume, on tets of both orientations
+    rng = np.random.default_rng(100 + mask)
+    free = np.flatnonzero((mask >> np.arange(4)) & 1)
+    coords = (3 * free[:, None] + np.arange(3)).reshape(-1)
+    for orientation in (0, 1, 2, 3):
+        p = random_tet(rng, min_volume=1e-2)[[1, 0, 2, 3] if orientation % 2 else [0, 1, 2, 3]] + SHIFT
+        qd = volume_length_diff(*p)
+        grad, hess = element_hessian(p, 1.0, 0.0)
+        assert np.linalg.norm(qd.grad - grad) <= 1e-13 * np.linalg.norm(grad)
+        assert np.linalg.norm(qd.hess - hess) <= 1e-13 * np.linalg.norm(hess)
+
+        mesh = TetMesh(vertices=p, tets=np.array([[0, 1, 2, 3]]))
+        patch = Patch(seed_tets=np.array([0]), free_vertices=free, ring_tets=np.array([0]))
+        params = BarrierParams.from_quality(qd.q, 0.8)
+        inv = 1.0 / (qd.q - params.gamma)
+        c1, c2 = qd.q / (1.0 - params.gamma) - inv, 1.0 / (1.0 - params.gamma) + inv * inv
+        grad, hess = element_hessian(p, c1, c2)
+        system = assemble_patch_system(mesh, patch, params)
+        block, part = hess[np.ix_(coords, coords)], grad[coords]
+        assert np.linalg.norm(system.S - block) <= 1e-13 * np.linalg.norm(block)
+        assert np.linalg.norm(system.f - part) <= 1e-13 * np.linalg.norm(part)

@@ -39,6 +39,17 @@ def test_missing_input_names_path(tmp_path, capsys):
     assert "nope.mesh" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["-o", "--report"])
+def test_write_into_missing_directory_names_the_path(tmp_path, sliver_mesh_file, capsys, flag):
+    missing = tmp_path / "missing" / "out"
+    out = missing if flag == "-o" else tmp_path / "out.mesh"
+    report = ["--report", str(missing)] if flag == "--report" else []
+    assert run_cli([str(sliver_mesh_file), "-o", str(out), "--format", "medit", "--max-passes", "1", *report]) == 1
+    err = capsys.readouterr().err
+    assert str(missing) in err
+    assert ".tmp" not in err
+
+
 def test_bad_flags_exit_3(tmp_path, sliver_mesh_file):
     assert run_cli([str(sliver_mesh_file), "-o", str(sliver_mesh_file)]) == 3  # overwrite without --in-place
     assert run_cli([str(sliver_mesh_file)]) == 3  # no output

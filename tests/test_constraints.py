@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tetforge.constraints
+import tetforge.mesh
 from tetforge.barrier import BarrierParams, assemble_patch_system
 from tetforge.constraints import (
     ConstraintSystem,
@@ -18,7 +21,7 @@ from tetforge.mesh import VertexClass
 from tetforge.quality import quality_batch
 from tetforge.topology import build_topology
 
-from conftest import resultant_normal
+from conftest import reference_constraints, resultant_normal
 
 
 def _patch_of_all_movable(mesh, adjacency):
@@ -187,9 +190,10 @@ def test_degenerate_normal_demotes_vertex_to_a_fixed_corner(monkeypatch):
     area_normals = tetforge.constraints.triangle_area_normals
 
     def degenerate_at_vertex(vertices, tris):
-        # the triangles of the vertex's one cluster, and no other set, all hold it
+        # zero the area normal of every triangle that holds the vertex, so its one cluster sums to 0
         normals = area_normals(vertices, tris)
-        return np.zeros_like(normals) if (tris == vertex).any(axis=1).all() else normals
+        normals[(tris == vertex).any(axis=1)] = 0.0
+        return normals
 
     monkeypatch.setattr(tetforge.constraints, "triangle_area_normals", degenerate_at_vertex)
     built = mesh.copy()
@@ -206,6 +210,60 @@ def test_degenerate_normal_demotes_vertex_to_a_fixed_corner(monkeypatch):
     assert mesh.vertex_class[vertex] == VertexClass.CORNER
     assert np.array_equal(mesh.vertices[vertex], before[vertex])
     assert not np.array_equal(mesh.vertices, before)
+
+
+def _sphere_patches():
+    mesh = generate_test_mesh("sphere", 4, seed=6, jitter=0.1)
+    adjacency = build_topology(mesh)
+    return mesh, adjacency, select_patches(mesh, adjacency, target_quality=0.5, surface_motion=True)
+
+
+def _crease_patches():
+    mesh = generate_test_mesh("grid", 3, seed=0, jitter=0.25)
+    adjacency = build_topology(mesh)
+    return mesh, adjacency, select_patches(mesh, adjacency, target_quality=2.0, surface_motion=True)
+
+
+def _inject_demotions(mesh, adjacency, patch, monkeypatch):
+    """Zero the area normals at one smooth free vertex of the patch and drop
+    another's triangles from every cluster; returns the adjacency to use."""
+    smooth = [int(v) for v in patch.free_vertices if mesh.vertex_class[v] == VertexClass.SURFACE_SMOOTH]
+    cancelled, unclustered = smooth[0], smooth[-1]
+    area_normals = tetforge.mesh.triangle_area_normals
+
+    def cancelled_at_vertex(vertices, tris):
+        normals = area_normals(vertices, tris)
+        normals[(tris == cancelled).any(axis=1)] = 0.0
+        return normals
+
+    monkeypatch.setattr(tetforge.mesh, "triangle_area_normals", cancelled_at_vertex)
+    monkeypatch.setattr(tetforge.constraints, "triangle_area_normals", cancelled_at_vertex)
+    tri_cluster = adjacency.tri_cluster.copy()
+    tri_cluster[adjacency.vertex_tris.indptr[unclustered]:adjacency.vertex_tris.indptr[unclustered + 1]] = -1
+    return dataclasses.replace(adjacency, tri_cluster=tri_cluster)
+
+
+@pytest.mark.parametrize("case", ["sphere", "crease", "demotion"])
+def test_batched_frames_match_the_vertex_loop(case, monkeypatch):
+    mesh, adjacency, patches = _crease_patches() if case == "crease" else _sphere_patches()
+    if case == "demotion":
+        adjacency = _inject_demotions(mesh, adjacency, patches[0], monkeypatch)
+    classes = set()
+    demoted_in_all = []
+    for patch in patches:
+        classes.update(mesh.vertex_class[patch.free_vertices].tolist())
+        reference = mesh.copy()
+        frames, keep, expected = reference_constraints(patch, reference, adjacency)
+        system, demoted = build_constraints(patch, mesh, adjacency)
+        assert np.abs(system.frames - frames).max() <= 1e-15
+        assert np.array_equal(system.keep, keep)
+        assert demoted == expected
+        assert np.array_equal(mesh.vertex_class, reference.vertex_class)
+        demoted_in_all += demoted
+    assert {int(VertexClass.INTERIOR), int(VertexClass.SURFACE_SMOOTH)} <= classes
+    if case == "crease":
+        assert int(VertexClass.FEATURE_EDGE) in classes
+    assert len(demoted_in_all) == (2 if case == "demotion" else 0)
 
 
 # --- null-space step -------------------------------------------------------------

@@ -257,7 +257,7 @@ def test_rejected_step_leaves_mesh_unchanged():
 
 # --- optimize_patch ------------------------------------------------------------
 
-def test_spoke_vertex_moves_toward_optimum():
+def test_spoke_vertex_moves_toward_optimum(monkeypatch):
     mesh = generate_test_mesh("grid", 2, seed=8, jitter=0.0)
     adjacency = build_topology(mesh)
     center = int(np.flatnonzero(mesh.vertex_class == VertexClass.INTERIOR)[0])
@@ -280,7 +280,8 @@ def test_spoke_vertex_moves_toward_optimum():
     mesh.vertices[center] = start
 
     params = BarrierParams.from_quality(float(q_before), 0.8)
-    report = optimize_patch(mesh, patch, params, max_inner=10)
+    monkeypatch.setattr(tetforge.solver, "DEFAULT_MAX_INNER", 10)
+    report = optimize_patch(mesh, patch, params)
     q_after = quality_batch(mesh.tet_points(star)).min()
     assert q_after > q_before
     # closer to the brute-force optimum than where it started
@@ -320,7 +321,7 @@ def test_step_below_the_rounding_floor_ends_the_solve_unsearched(monkeypatch):
     assert report.iterations == 0 and report.barrier_violations == 0
 
 
-def test_untangles_inverted_patch():
+def test_untangles_inverted_patch(monkeypatch):
     mesh = generate_test_mesh("with-inverted", 3, seed=4, k=1)
     adjacency = build_topology(mesh)
     q = quality_batch(mesh.tet_points())
@@ -328,8 +329,9 @@ def test_untangles_inverted_patch():
     assert q_min < 0.0
     patches = select_patches(mesh, adjacency, target_quality=0.3, surface_motion=False)
     params = BarrierParams.from_quality(q_min, 0.8)
+    monkeypatch.setattr(tetforge.solver, "DEFAULT_MAX_INNER", 10)
     for patch in patches:
-        optimize_patch(mesh, patch, params, max_inner=10)
+        optimize_patch(mesh, patch, params)
     q_after = float(np.nanmin(quality_batch(mesh.tet_points())))
     assert q_after > q_min
 
@@ -360,19 +362,20 @@ def test_constrained_patch_displacement_stays_tangential():
     assert np.linalg.norm(normal_motion) <= 1e-8 * moved
 
 
-def test_objective_monotone_over_iterations():
+def test_objective_monotone_over_iterations(monkeypatch):
     mesh = generate_test_mesh("grid", 3, seed=5, jitter=0.25)
     adjacency = build_topology(mesh)
     patches = select_patches(mesh, adjacency, target_quality=0.5, surface_motion=False)
     q_min = float(np.nanmin(quality_batch(mesh.tet_points())))
     params = BarrierParams.from_quality(q_min, 0.8)
+    monkeypatch.setattr(tetforge.solver, "DEFAULT_MAX_INNER", 1)
     for patch in patches[:3]:
         # one Newton iteration per call: each iteration assembles from the
         # current coordinates alone, so the calls take the iterates of one
         # longer solve
         history, min_quality = [], np.inf
         for _ in range(5):
-            report = optimize_patch(mesh, patch, params, max_inner=1)
+            report = optimize_patch(mesh, patch, params)
             history.append(report.objective)
             min_quality = min(min_quality, report.min_quality)
         assert all(b < a + 1e-12 for a, b in zip(history, history[1:]))
