@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from tetforge.mesh import TetMesh, VertexClass, triangle_area_normals
+from tetforge.mesh import TetMesh, VertexClass, extent, triangle_area_normals
 from tetforge.topology import AdjacencyIndex
 
 logger = logging.getLogger("tetforge")
@@ -92,8 +92,9 @@ def build_constraints(patch, mesh: TetMesh, adjacency: AdjacencyIndex):
     tangent columns, and a corner or user-fixed vertex none, so a vertex
     demoted after the patch was selected stays where it is.  A surface
     vertex with no cluster, or with a cluster whose resultant is shorter
-    than a floor (opposing faces cancelling), is reclassified as a corner
-    in place and keeps no column.  Returns (ConstraintSystem, demoted),
+    than a floor (opposing faces cancelling), is reclassified as a corner in
+    place and keeps no column; the floor scales with the squared extent of
+    the mesh, not with its position.  Returns (ConstraintSystem, demoted),
     demoted listing the vertices reclassified by this call, in free-vertex
     order.
     """
@@ -126,7 +127,7 @@ def build_constraints(patch, mesh: TetMesh, adjacency: AdjacencyIndex):
     # the norm as 1x3 times 3x1 products, which round like np.linalg.norm of one vector
     norm = np.sqrt((resultant[:, :, None, :] @ resultant[:, :, :, None])[:, :, 0, 0])
 
-    scale = float(np.abs(mesh.vertices).max()) or 1.0
+    scale = extent(mesh.vertices) or 1.0
     degenerate = (clusters == 0) | ((norm < 1e-14 * scale * scale) & present).any(axis=1)
     for c in np.unique(clusters[~degenerate]).tolist():
         rows = np.flatnonzero(~degenerate & (clusters == c))

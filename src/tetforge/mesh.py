@@ -96,7 +96,8 @@ class TetMesh:
         shared by more, is rejected.  Inverted tets are valid input, but a
         tet whose quality is not finite (all four vertices at one point) is
         not, and neither is a mesh without tets: there is nothing to improve
-        or measure.
+        or measure.  Nor is one with |x| > 2^100 or an extent below 2^-100:
+        the Newton weights scale as length^-6 and must stay normal floats.
         """
         nv = self.num_vertices
         if not np.all(np.isfinite(self.vertices)):
@@ -107,6 +108,8 @@ class TetMesh:
             raise MeshStructureError("tet vertex index out of range")
         if any(np.any(self.tets[:, i] == self.tets[:, j]) for i, j in TET_EDGES):
             raise MeshStructureError("tet with repeated vertex")
+        if np.abs(self.vertices).max() > 2.0 ** 100 or extent(self.vertices) < 2.0 ** -100:
+            raise MeshStructureError("vertex coordinates out of range: need |x| <= 2^100 and extent >= 2^-100")
         from tetforge.quality import quality_batch  # quality imports this module
 
         bad = ~np.isfinite(quality_batch(self.tet_points()))
@@ -130,6 +133,11 @@ class TetMesh:
                 if owners[i] == 0:
                     raise MeshStructureError(f"surface triangle {i} is not a face of any tet")
                 raise MeshStructureError(f"surface triangle {i} is shared by {owners[i]} tets")
+
+
+def extent(points: np.ndarray) -> float:
+    """Largest coordinate range of (n, 3) points, taken over rows of the transpose (axis 0 is slower)."""
+    return float(np.ptp(np.ascontiguousarray(points.T), axis=1).max())
 
 
 def group_faces(faces: np.ndarray) -> tuple:

@@ -9,9 +9,11 @@ length.
 Elements are (m, 12) rows, x, y, z of p0..p3, or (m, 4, 3) arrays.  All is
 computed from the six edge vectors p_j - p_i, so nothing depends on where
 an element sits, and `quality_batch` shares its steps with the kernel
-`quality_diff_batch`, so both give the same q to the bit.  With S the sum
-of squared edge lengths and q = c V S^(-3/2), the kernel returns q, the
-edges, G = [grad V; grad S] (2 x 12) and the scalars A = c S^(-3/2),
+`quality_diff_batch`, so both give the same q to the bit.  S^(3/2) is
+S sqrt(S): sqrt is correctly rounded and pow(S, 1.5) is not, so a run on
+2^k X is exactly 2^k times the run on X.  With S the sum of squared edge
+lengths and q = c V S^(-3/2), the kernel returns q, the edges,
+G = [grad V; grad S] (2 x 12) and the scalars A = c S^(-3/2),
 B = -3/2 c V S^(-5/2) and the entries n01, n11 of
 N = [[0, n01], [n01, n11]]:
 
@@ -123,7 +125,7 @@ def _volume_quality(edges: np.ndarray, cross1: np.ndarray):
     vol = (edges[:, :3] * cross1).sum(axis=1) / 6.0
     by_edge = edges.reshape(-1, 6, 3)
     ssum = np.einsum("ijk,ijk->ij", by_edge, by_edge).sum(axis=1)
-    s32 = np.power(ssum, 1.5)
+    s32 = ssum * np.sqrt(ssum)
     return vol, ssum, s32, QCOEF * vol / s32
 
 

@@ -5,21 +5,22 @@ where tau is the smallest rung of a ladder of powers of ten times the
 largest diagonal entry at which the factorization succeeds and gives a
 descent step (quality is non-convex, so raw Newton can point uphill); the
 rung is found by bisection, a few factorizations instead of one per rung.
-A step whose predicted decrease |f . dX| is at most eps * m * max(1,
-|objective|), for m ring elements, ends the solve as converged: the Armijo
+The backtracking line search accepts the first step that keeps every ring
+element strictly above the barrier and achieves an Armijo decrease of the
+patch objective.  A solve ends in one of three ways, none of which depends
+on the unit of length: converged, when a step's predicted decrease |f . dX|
+is at most eps * m * max(1, |objective|) for m ring elements (the Armijo
 test compares two sums of m terms, each rounded to within about m ulps of
-the objective, so it cannot tell such a decrease from round-off.  Any other
-step goes to the backtracking line search, which accepts the first step
-that keeps every ring element strictly above the barrier and achieves an
-Armijo decrease of the patch objective; a search that accepts none stalls
-the patch.  Because no accepted step may cross the barrier, a mesh that
-starts valid can never acquire an inverted element while gamma >= 0.
+the objective, so it cannot tell such a decrease from round-off; the step
+is not searched); stalled, when no shift gives a descent step or the search
+accepts none; or after DEFAULT_MAX_INNER iterations.  Because no accepted
+step may cross the barrier, a mesh that starts valid can never acquire an
+inverted element while gamma >= 0.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,6 @@ ARMIJO_C = 1e-4
 MIN_ALPHA = 2.0 ** -20
 MAX_SHIFT_EXP = 4
 DEFAULT_MAX_INNER = 3
-GRAD_TOL = 1e-10
-STEP_TOL = 1e-12
 
 
 @dataclass
@@ -151,29 +150,20 @@ def optimize_patch(mesh, patch, params: BarrierParams,
     """Run up to DEFAULT_MAX_INNER Newton iterations on one patch at fixed gamma.
 
     Constraint frames, when given, are frozen for the whole solve and each
-    Newton system is reduced to their tangent columns; the mesh coordinates
-    of the patch's free vertices are updated in place.  The assembly plan
-    is built once here and shared by every iteration.  The solve ends as
-    converged when the gradient vanishes, when the predicted decrease
-    |f . dX| is at most eps * m * max(1, |objective|) for m ring elements
-    (such a step is never searched), or when an accepted step is shorter
-    than STEP_TOL.  A patch that cannot make progress (no descent direction,
-    or a line search that rejects every alpha) is reported as stalled, not
-    raised.
+    Newton system is reduced to their tangent columns; the free vertices of
+    the patch move in place, and one assembly plan serves every iteration.
+    The solve ends converged (a predicted decrease at the rounding floor,
+    never searched), stalled (reported, not raised) or at the iteration cap.
     """
     report = SolveReport()
     plan = plan_patch(mesh, patch)
     for _ in range(DEFAULT_MAX_INNER):
         system = assemble_patch_system(mesh, patch, params, plan)
         report.objective = system.objective
-        if system.ndof == 0:
-            break
         if constraints is not None:
             S_eff, f_eff = project_system(system.S, system.f, constraints.frames, constraints.keep)
         else:
             S_eff, f_eff = system.S, system.f
-        if math.sqrt(f_eff @ f_eff) <= GRAD_TOL * max(1.0, abs(system.objective)):
-            break
         try:
             dx, tau = newton_direction(S_eff, f_eff)
         except NoProgressError:
@@ -193,6 +183,4 @@ def optimize_patch(mesh, patch, params: BarrierParams,
         report.iterations += 1
         report.objective = obj
         report.min_quality = min(report.min_quality, min_q)
-        if alpha * math.sqrt(dx @ dx) <= STEP_TOL:
-            break
     return report

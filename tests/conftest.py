@@ -120,7 +120,7 @@ def reference_constraints(patch, mesh, adjacency):
     frames = np.tile(np.eye(3), (len(free), 1, 1))
     keep = np.ones((len(free), 3), dtype=bool)
     demoted = []
-    scale = float(np.abs(mesh.vertices).max()) or 1.0
+    scale = float(np.ptp(mesh.vertices, axis=0).max()) or 1.0
     for i, v in enumerate(free):
         cls = int(mesh.vertex_class[v])
         if cls == VertexClass.INTERIOR:

@@ -177,6 +177,21 @@ def test_collapsed_tet_exit_2_names_it(tmp_path, capsys):
     assert "barrier" not in err
 
 
+@pytest.mark.parametrize("case", ["huge", "tiny"])
+def test_coordinates_out_of_range_exit_2(tmp_path, capsys, case):
+    from tetforge.io import _format_medit
+    from test_mesh_core import out_of_range_mesh
+
+    path = tmp_path / "far.mesh"
+    path.write_text("".join(_format_medit(out_of_range_mesh(case))))  # save_mesh would refuse it
+    out = tmp_path / "out.mesh"
+    assert run_cli([str(path), "-o", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "out of range" in err
+    assert "degenerate" not in err
+
+
 @pytest.mark.parametrize("header,bad,message", [
     ("POINTS 4 double", "POINTS abc double", "bad count 'abc' after 'POINTS' (line 5)"),
     ("CELLS 1 5", "CELLS 1", "missing size after 'CELLS' (line 10)"),

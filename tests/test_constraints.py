@@ -212,6 +212,25 @@ def test_degenerate_normal_demotes_vertex_to_a_fixed_corner(monkeypatch):
     assert not np.array_equal(mesh.vertices, before)
 
 
+def test_demotion_floor_does_not_depend_on_where_the_mesh_sits():
+    # the floor scales with the mesh's extent, which a shift leaves as it is;
+    # a floor from max|x| would demote 142 of the 314 surface vertices here
+    runs = []
+    for shift in (0.0, 1e7):
+        mesh = generate_test_mesh("sphere", 5, seed=3, jitter=0.15)
+        mesh.vertices += shift
+        adjacency = build_topology(mesh)
+        before, classes = mesh.vertices.copy(), mesh.vertex_class.copy()
+        report = optimize_mesh(mesh, RunConfig(target_quality=0.5), adjacency)
+        assert np.array_equal(mesh.vertex_class, classes)
+        moved = (classes != VertexClass.INTERIOR) & (mesh.vertices != before).any(axis=1)
+        runs.append((np.flatnonzero(moved), report.final_metrics.q_min))
+    (moved, q_min), (moved_shifted, q_min_shifted) = runs
+    assert len(moved) > 100
+    assert np.array_equal(moved_shifted, moved)
+    assert q_min_shifted == pytest.approx(q_min, abs=1e-6)
+
+
 def _sphere_patches():
     mesh = generate_test_mesh("sphere", 4, seed=6, jitter=0.1)
     adjacency = build_topology(mesh)

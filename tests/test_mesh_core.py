@@ -405,6 +405,33 @@ def collapsed_tet_mesh():
     return mesh
 
 
+def out_of_range_mesh(case):
+    """A mesh whose coordinates leave the range `validate` accepts."""
+    mesh = generate_test_mesh("sphere", 3, seed=1, jitter=0.1)
+    if case == "huge":
+        mesh.vertices[0] = [1e200, 0.0, 0.0]
+    else:
+        mesh.vertices *= 1e-120  # well shaped, but S^(3/2) underflows to 0
+    return mesh
+
+
+@pytest.mark.parametrize("case", ["huge", "tiny"])
+def test_validate_rejects_coordinates_out_of_range(case):
+    with pytest.raises(MeshStructureError, match="out of range.*2\\^100.*2\\^-100"):
+        out_of_range_mesh(case).validate()
+
+
+def test_validate_accepts_the_ends_of_the_coordinate_range():
+    mesh = generate_test_mesh("grid", 2)  # coordinates from 0 to 1 exactly
+    for factor, outside in ((2.0 ** 100, np.nextafter(1.0, 2.0)), (2.0 ** -100, np.nextafter(1.0, 0.0))):
+        at_end = mesh.copy()
+        at_end.vertices *= factor
+        at_end.validate()
+        at_end.vertices *= outside
+        with pytest.raises(MeshStructureError, match="out of range"):
+            at_end.validate()
+
+
 def test_validate_rejects_collapsed_tet_but_not_inverted():
     with pytest.raises(MeshStructureError, match="tet 100 "):
         collapsed_tet_mesh().validate()

@@ -6,7 +6,9 @@ and through `run_cli` with the same settings, and checks:
 - no accepted step takes a valid input below quality 0;
 - without surface motion the volume does not drift;
 - the two runs give the same vertices bit for bit;
-- the CLI's --report JSON parses back to the in-process report.
+- the CLI's --report JSON parses back to the in-process report;
+- a run on the fixture scaled by 2^k, k in [-60, 60], gives exactly 2^k
+  times the vertices of the run on the fixture, bit for bit.
 """
 
 import json
@@ -14,6 +16,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -37,7 +40,7 @@ def runs(draw):
                 k=draw(st.integers(1, 2)))
     config = RunConfig(mode=mode, surface_motion=draw(st.booleans()), target_quality=draw(st.floats(0.3, 0.9)),
                        max_passes=4, b_schedule=(0.85,) if mode == "all-patches" else RunConfig().b_schedule)
-    return spec, config
+    return spec, config, draw(st.integers(-60, 60))
 
 
 def _cli_args(config):
@@ -58,7 +61,7 @@ def _without_timings(report: dict) -> str:
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(runs())
 def test_runs_keep_their_guarantees(run):
-    spec, config = run
+    spec, config, scale = run
     try:
         fixture = generate_test_mesh(**spec)
     except ValueError:  # too few interior vertices to seed the bad elements
@@ -67,8 +70,13 @@ def test_runs_keep_their_guarantees(run):
         tmp = Path(tmp)
         save_mesh(fixture, tmp / "in.mesh")
         mesh = load_mesh(tmp / "in.mesh")
+        scaled = mesh.copy()
+        scaled.vertices *= 2.0 ** scale
         valid = float(np.nanmin(quality_batch(mesh.tet_points()))) > 0.0
         report = optimize_mesh(mesh, config, adjacency=build_topology(mesh, config.feature_angle_deg))
+        scaled_report = optimize_mesh(scaled, config, adjacency=build_topology(scaled, config.feature_angle_deg))
+        assert np.array_equal(scaled.vertices, mesh.vertices * 2.0 ** scale)
+        assert scaled_report.final_metrics.q_min == report.final_metrics.q_min
 
         if valid:
             assert report.min_quality_seen > 0.0
@@ -81,3 +89,32 @@ def test_runs_keep_their_guarantees(run):
         assert np.array_equal(load_mesh(tmp / "out.mesh").vertices, mesh.vertices)
         written = json.loads((tmp / "report.json").read_text())
         assert _without_timings(written) == _without_timings(report.to_dict())
+
+
+def _run_scaled(spec, config, factor):
+    mesh = generate_test_mesh(**spec)
+    mesh.vertices *= factor
+    return mesh, optimize_mesh(mesh, config, adjacency=build_topology(mesh, config.feature_angle_deg))
+
+
+def test_power_of_two_scaling_is_exact_where_pow_rounds_differently():
+    # pow(4 S, 1.5) differs from 8 pow(S, 1.5) in the last bit for some S met
+    # on this sphere; S * sqrt(S) scales exactly
+    spec, config = dict(kind="sphere", n=3, seed=7, jitter=0.2, k=2), RunConfig(target_quality=0.6)
+    mesh, report = _run_scaled(spec, config, 1.0)
+    scaled, scaled_report = _run_scaled(spec, config, 2.0 ** 2)
+    assert report.passes
+    assert np.array_equal(scaled.vertices, mesh.vertices * 2.0 ** 2)
+    assert scaled_report.final_metrics.q_min == report.final_metrics.q_min
+
+
+@pytest.mark.parametrize("kind, factor", [("grid", 1e12), ("sphere", 1e-9)])
+def test_a_mesh_far_from_unit_size_improves_as_at_unit_size(kind, factor):
+    # no power of two, so the runs differ at round-off; but every stopping
+    # rule is scale-free, so the scaled run does not stop at its first iterate
+    spec, config = dict(kind=kind, n=5, seed=1, jitter=0.2), RunConfig(target_quality=0.5)
+    _, report = _run_scaled(spec, config, 1.0)
+    _, scaled_report = _run_scaled(spec, config, factor)
+    iterations = sum(p.newton_iterations for p in scaled_report.passes)
+    assert iterations > 0
+    assert scaled_report.final_metrics.q_min == pytest.approx(report.final_metrics.q_min, abs=1e-6)

@@ -300,6 +300,19 @@ def test_already_optimal_patch_does_not_move(regular_tet):
     assert np.abs(mesh.vertices - before).max() < 1e-10
 
 
+def test_patch_without_unknowns_ends_converged():
+    # an empty system gives an empty step, whose predicted decrease 0 is at the rounding floor
+    mesh = generate_test_mesh("grid", 2)
+    adjacency = build_topology(mesh)
+    patch = Patch(seed_tets=np.array([0]), free_vertices=np.zeros(0, dtype=np.int64),
+                  ring_tets=np.zeros(0, dtype=np.int64))
+    params = BarrierParams.from_quality(0.5, 0.8)
+    for constraints in (None, build_constraints(patch, mesh, adjacency)[0]):
+        report = optimize_patch(mesh, patch, params, constraints)
+        assert report.iterations == 0 and not report.stalled
+        assert report.objective == 0.0
+
+
 def test_step_below_the_rounding_floor_ends_the_solve_unsearched(monkeypatch):
     # a Newton step scaled far below round-off predicts a decrease that the
     # Armijo test cannot resolve: the solve ends as converged, and no trial
