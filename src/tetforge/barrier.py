@@ -89,7 +89,7 @@ def barrier_value(q: float, gamma: float) -> float:
     """I = q^2 / (2 (1 - gamma)) - ln(q - gamma); requires q > gamma."""
     if q <= gamma:
         raise BarrierViolationError(f"quality {q} at or below barrier {gamma}")
-    return q * q / (2.0 * (1.0 - gamma)) - np.log(q - gamma)
+    return float(barrier_values_batch(q, gamma))
 
 
 def barrier_values_batch(q: np.ndarray, gamma: float) -> np.ndarray:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from tetforge.mesh import TetMesh, VertexClass, extent, triangle_area_normals
+from tetforge.mesh import TetMesh, VertexClass, triangle_area_normals
 from tetforge.topology import AdjacencyIndex
 
 logger = logging.getLogger("tetforge")
@@ -91,12 +91,14 @@ def build_constraints(patch, mesh: TetMesh, adjacency: AdjacencyIndex):
     vertex keeps all three columns, a smooth surface or crease vertex its
     tangent columns, and a corner or user-fixed vertex none, so a vertex
     demoted after the patch was selected stays where it is.  A surface
-    vertex with no cluster, or with a cluster whose resultant is shorter
+    vertex with no cluster, or with a cluster whose resultant is no longer
     than a floor (opposing faces cancelling), is reclassified as a corner in
-    place and keeps no column; the floor scales with the squared extent of
-    the mesh, not with its position.  Returns (ConstraintSystem, demoted),
-    demoted listing the vertices reclassified by this call, in free-vertex
-    order.
+    place and keeps no column.  The floor of a cluster is 1e-14 times the
+    summed lengths of its own area normals, so it depends neither on where
+    the mesh sits nor on how far the rest of the mesh reaches, and a
+    cluster whose normals are all zero is demoted.  Returns
+    (ConstraintSystem, demoted), demoted listing the vertices reclassified
+    by this call, in free-vertex order.
     """
     free = np.asarray(patch.free_vertices, dtype=np.int64)
     cls = mesh.vertex_class[free]
@@ -126,9 +128,10 @@ def build_constraints(patch, mesh: TetMesh, adjacency: AdjacencyIndex):
                             minlength=3 * width * len(surface)).reshape(len(surface), width, 3)
     # the norm as 1x3 times 3x1 products, which round like np.linalg.norm of one vector
     norm = np.sqrt((resultant[:, :, None, :] @ resultant[:, :, :, None])[:, :, 0, 0])
+    floor = 1e-14 * np.bincount(owner * width + label, weights=np.sqrt(np.einsum("ij,ij->i", area, area)),
+                                minlength=width * len(surface)).reshape(len(surface), width)
 
-    scale = extent(mesh.vertices) or 1.0
-    degenerate = (clusters == 0) | ((norm < 1e-14 * scale * scale) & present).any(axis=1)
+    degenerate = (clusters == 0) | ((norm <= floor) & present).any(axis=1)
     for c in np.unique(clusters[~degenerate]).tolist():
         rows = np.flatnonzero(~degenerate & (clusters == c))
         at = surface[rows]
@@ -140,11 +143,11 @@ def build_constraints(patch, mesh: TetMesh, adjacency: AdjacencyIndex):
     return ConstraintSystem(frames=frames, keep=keep), demoted.tolist()
 
 
-def projector(C: np.ndarray, pivot_tol: float = PIVOT_TOL):
+def projector(C: np.ndarray):
     """Null-space projector Q and right inverse R for a constraint matrix.
 
     Dense reference for the frame reduction: dependent rows (pivoted-QR
-    pivot below pivot_tol relative to the largest) are dropped first.
+    pivot below PIVOT_TOL relative to the largest) are dropped first.
     Returns (Q, R, C_kept, g_keep_indices, dropped_count).
     """
     m, n = C.shape
@@ -152,7 +155,7 @@ def projector(C: np.ndarray, pivot_tol: float = PIVOT_TOL):
         return np.eye(n), np.zeros((n, 0)), C, np.zeros(0, dtype=np.int64), 0
     _, r, piv = scipy.linalg.qr(C.T, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
-    tol = pivot_tol * (diag[0] if diag.size and diag[0] > 0 else 1.0)
+    tol = PIVOT_TOL * (diag[0] if diag.size and diag[0] > 0 else 1.0)
     rank = int((diag > tol).sum())
     keep = np.sort(piv[:rank])
     dropped = m - rank

@@ -38,10 +38,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from tetforge.barrier import BarrierParams, compute_gamma
+from tetforge.barrier import BarrierParams
 from tetforge.constraints import build_constraints
 from tetforge.mesh import TetMesh, VertexClass, dihedral_angles_batch, surface_enclosed_volume, tet_volumes
-from tetforge.metrics import GlobalMetrics, global_metrics
+from tetforge.metrics import GlobalMetrics, dihedral_range, global_metrics
 from tetforge.quality import quality_batch
 from tetforge.solver import optimize_patch
 from tetforge.topology import AdjacencyIndex, build_topology
@@ -298,11 +298,6 @@ class _TetMeasures:
         """(volumes, qualities, dihedral angles) of every tet, as global_metrics takes them."""
         return self.volume, self.quality, self.angles
 
-    def dihedral_range(self) -> tuple:
-        """Smallest and largest angle, skipping NaN ones; NaN if all are."""
-        angles = self.angles.reshape(-1)
-        return float(np.fmin.reduce(angles)), float(np.fmax.reduce(angles))
-
 
 def optimize_mesh(mesh: TetMesh, config: RunConfig,
                   adjacency: AdjacencyIndex | None = None,
@@ -328,8 +323,7 @@ def optimize_mesh(mesh: TetMesh, config: RunConfig,
         for pass_index in range(config.max_passes):
             t_pass = time.perf_counter()
             q_min_before = float(np.nanmin(measures.quality))
-            gamma = compute_gamma(q_min_before, b)
-            params = BarrierParams(b=b, q_min=q_min_before, gamma=gamma)
+            params = BarrierParams.from_quality(q_min_before, b)
             patches = select_patches(
                 mesh, adjacency, config.target_quality,
                 mode=config.mode, surface_motion=config.surface_motion,
@@ -361,14 +355,14 @@ def optimize_mesh(mesh: TetMesh, config: RunConfig,
 
             measures.update(mesh, np.flatnonzero(touched))
             q_min_after = float(np.nanmin(measures.quality))
-            min_dihedral, max_dihedral = measures.dihedral_range()
+            min_dihedral, max_dihedral = dihedral_range(measures.angles)
             boundary_now = surface_enclosed_volume(mesh.vertices, adjacency.boundary_faces)
             drift = abs(boundary_now - boundary_volume_0) / abs(boundary_volume_0) * 100.0 \
                 if boundary_volume_0 else 0.0
             record = PassRecord(
                 b=b,
                 pass_index=pass_index,
-                gamma=gamma,
+                gamma=params.gamma,
                 q_min_before=q_min_before,
                 q_min=q_min_after,
                 min_dihedral_deg=min_dihedral,

@@ -183,11 +183,7 @@ def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def tet_signed_volume(p0, p1, p2, p3) -> float:
     """Signed volume det[p1-p0, p2-p0, p3-p0] / 6."""
-    p0 = np.asarray(p0, dtype=np.float64)
-    e1 = np.asarray(p1, dtype=np.float64) - p0
-    e2 = np.asarray(p2, dtype=np.float64) - p0
-    e3 = np.asarray(p3, dtype=np.float64) - p0
-    return float(np.dot(e1, np.cross(e2, e3)) / 6.0)
+    return float(tet_volumes(np.asarray([[p0, p1, p2, p3]], dtype=np.float64))[0])
 
 
 def tet_volumes(points: np.ndarray) -> np.ndarray:

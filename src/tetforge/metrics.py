@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -24,15 +24,7 @@ class GlobalMetrics:
     dihedral_histogram: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "total_volume": self.total_volume,
-            "total_surface_area": self.total_surface_area,
-            "q_min": self.q_min,
-            "worst_tet_id": self.worst_tet_id,
-            "min_dihedral_deg": self.min_dihedral_deg,
-            "max_dihedral_deg": self.max_dihedral_deg,
-            "dihedral_histogram": list(self.dihedral_histogram),
-        }
+        return asdict(self)
 
 
 def dihedral_histogram(angles: np.ndarray) -> list:
@@ -41,6 +33,12 @@ def dihedral_histogram(angles: np.ndarray) -> list:
     flat = flat[np.isfinite(flat)]
     idx = np.clip((flat // 10.0).astype(int), 0, HISTOGRAM_BINS - 1)
     return np.bincount(idx, minlength=HISTOGRAM_BINS).tolist()
+
+
+def dihedral_range(angles: np.ndarray) -> tuple:
+    """Smallest and largest angle, skipping NaN ones; NaN if all are or there are none."""
+    return (float(np.fmin.reduce(angles, axis=None, initial=np.nan)),
+            float(np.fmax.reduce(angles, axis=None, initial=np.nan)))
 
 
 def global_metrics(mesh: TetMesh, adjacency: AdjacencyIndex,
@@ -58,13 +56,13 @@ def global_metrics(mesh: TetMesh, adjacency: AdjacencyIndex,
     worst = int(np.nanargmin(qualities)) if len(qualities) else -1
     area = float(np.linalg.norm(triangle_area_normals(mesh.vertices, mesh.surface_tris), axis=1).sum()) \
         if len(mesh.surface_tris) else 0.0
-    finite = angles[np.isfinite(angles)]
+    min_dihedral, max_dihedral = dihedral_range(angles)
     return GlobalMetrics(
         total_volume=float(volumes.sum()),
         total_surface_area=area,
         q_min=float(qualities[worst]) if worst >= 0 else np.nan,
         worst_tet_id=worst,
-        min_dihedral_deg=float(finite.min()) if finite.size else np.nan,
-        max_dihedral_deg=float(finite.max()) if finite.size else np.nan,
+        min_dihedral_deg=min_dihedral,
+        max_dihedral_deg=max_dihedral,
         dihedral_histogram=dihedral_histogram(angles),
     )

@@ -83,9 +83,8 @@ def _curvature_columns() -> np.ndarray:
 CURVATURE_COLUMN = _curvature_columns()
 _HESS_S_VALUES = np.array([6.0, -2.0, 0.0])
 
-# Elements per pass of quality_batch and of the Hessian tables: bounds the temporaries.
+# Elements per pass of quality_batch over a whole mesh: bounds its temporaries.
 _BLOCK = 1024
-_TABLE_BLOCK = 256
 
 
 @dataclass
@@ -165,18 +164,12 @@ def derivatives(grads: np.ndarray, edges: np.ndarray, ab: np.ndarray, weights: n
 
     grads and edges are the kernel's, ab (m, 2) is c1 (A, B) and weights
     (m, 2, 2) is M, as in the module docstring.  The entries are those at
-    entry = 144 e + 12 r + c (sorted), with curv = 39 e + CURVATURE_COLUMN[r, c].
+    entry = 144 e + 12 r + c, in any order, with curv = 39 e + CURVATURE_COLUMN[r, c].
+    One (m, 12, 12) table serves all m elements: a wave of `select_patches`
+    holds at most 64 free vertices, which bounds m.
     """
     m = len(ab)
-    products = np.empty(len(entry))
-    # entry is sorted, so the entries of each block of elements are one slice of it
-    cuts = (0, len(entry)) if m <= _TABLE_BLOCK else \
-        np.searchsorted(entry, 144 * np.arange(0, m + _TABLE_BLOCK, _TABLE_BLOCK))
-    for k, e0 in enumerate(range(0, m, _TABLE_BLOCK)):
-        g = grads[e0:e0 + _TABLE_BLOCK]
-        table = np.matmul(g.transpose(0, 2, 1), np.matmul(weights[e0:e0 + _TABLE_BLOCK], g))
-        block = entry[cuts[k]:cuts[k + 1]]
-        products[cuts[k]:cuts[k + 1]] = table.take(block - 144 * e0 if e0 else block)
+    products = np.matmul(grads.transpose(0, 2, 1), np.matmul(weights, grads)).take(entry)
     curvature = np.empty((m, 39))
     np.multiply(edges, ab[:, :1] / 6.0, out=curvature[:, :18])
     np.negative(curvature[:, :18], out=curvature[:, 18:36])

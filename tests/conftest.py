@@ -99,19 +99,20 @@ def reference_constraints(patch, mesh, adjacency):
 
     A smooth or crease vertex sums the area normals of each of its normal
     clusters (`AdjacencyIndex.normal_groups`) and takes the SVD of its unit
-    cluster normals; one with no cluster, or with a cluster normal shorter
-    than the floor, is demoted to a corner in place.  Returns (frames,
-    keep, demoted).
+    cluster normals; one with no cluster, or with a cluster normal no longer
+    than 1e-14 times the summed lengths of that cluster's area normals, is
+    demoted to a corner in place.  Returns (frames, keep, demoted).
     """
     from tetforge.constraints import tangent_frame
     from tetforge.mesh import VertexClass, triangle_area_normals
 
-    def cluster_normals(v, floor):
+    def cluster_normals(v):
         normals = []
         for tris in adjacency.normal_groups(v):
-            n = triangle_area_normals(mesh.vertices, mesh.surface_tris[tris]).sum(axis=0)
+            areas = triangle_area_normals(mesh.vertices, mesh.surface_tris[tris])
+            n = areas.sum(axis=0)
             norm = float(np.linalg.norm(n))
-            if norm < floor:
+            if norm <= 1e-14 * np.linalg.norm(areas, axis=1).sum():
                 return None
             normals.append(n / norm)
         return normals or None
@@ -120,13 +121,12 @@ def reference_constraints(patch, mesh, adjacency):
     frames = np.tile(np.eye(3), (len(free), 1, 1))
     keep = np.ones((len(free), 3), dtype=bool)
     demoted = []
-    scale = float(np.ptp(mesh.vertices, axis=0).max()) or 1.0
     for i, v in enumerate(free):
         cls = int(mesh.vertex_class[v])
         if cls == VertexClass.INTERIOR:
             continue
         if cls == VertexClass.SURFACE_SMOOTH or cls == VertexClass.FEATURE_EDGE:
-            normals = cluster_normals(v, 1e-14 * scale * scale)
+            normals = cluster_normals(v)
             if normals is not None:
                 frames[i], keep[i] = tangent_frame(normals)
                 continue

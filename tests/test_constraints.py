@@ -17,7 +17,7 @@ from tetforge.constraints import (
 )
 from tetforge.driver import Patch, RunConfig, optimize_mesh, select_patches
 from tetforge.fixtures import generate_test_mesh
-from tetforge.mesh import VertexClass
+from tetforge.mesh import TetMesh, VertexClass
 from tetforge.quality import quality_batch
 from tetforge.topology import build_topology
 
@@ -213,8 +213,9 @@ def test_degenerate_normal_demotes_vertex_to_a_fixed_corner(monkeypatch):
 
 
 def test_demotion_floor_does_not_depend_on_where_the_mesh_sits():
-    # the floor scales with the mesh's extent, which a shift leaves as it is;
-    # a floor from max|x| would demote 142 of the 314 surface vertices here
+    # each cluster's floor scales with its own area normals, which a shift
+    # leaves as they are; a floor from max|x| would demote 142 of the 314
+    # surface vertices here
     runs = []
     for shift in (0.0, 1e7):
         mesh = generate_test_mesh("sphere", 5, seed=3, jitter=0.15)
@@ -229,6 +230,26 @@ def test_demotion_floor_does_not_depend_on_where_the_mesh_sits():
     assert len(moved) > 100
     assert np.array_equal(moved_shifted, moved)
     assert q_min_shifted == pytest.approx(q_min, abs=1e-6)
+
+
+def test_demotion_floor_does_not_depend_on_a_far_part_of_the_mesh():
+    # one regular tet 1e7 away leaves the sphere's run as it is, bit for bit;
+    # a floor from the mesh's extent demoted 142 of the 314 surface vertices
+    sphere = generate_test_mesh("sphere", 5, seed=3, jitter=0.15)
+    nv = len(sphere.vertices)
+    far = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, np.sqrt(3.0) / 2.0, 0.0],
+                    [0.5, np.sqrt(3.0) / 6.0, np.sqrt(6.0) / 3.0]]) + [1e7, 0.0, 0.0]
+    mesh = TetMesh(vertices=np.vstack([sphere.vertices, far]),
+                   tets=np.vstack([sphere.tets, nv + np.arange(4)]))
+    before = sphere.vertices.copy()
+    runs = [optimize_mesh(m, RunConfig(target_quality=0.5)) for m in (sphere, mesh)]
+    surface = sphere.vertex_class != VertexClass.INTERIOR
+    assert (sphere.vertices[surface] != before[surface]).any(axis=1).sum() > 100
+    assert np.array_equal(mesh.vertices[:nv], sphere.vertices)
+    assert np.array_equal(mesh.vertex_class[:nv], sphere.vertex_class)
+    assert np.array_equal(mesh.vertices[nv:], far)
+    assert [p.q_min for p in runs[1].passes] == [p.q_min for p in runs[0].passes]
+    assert runs[1].final_metrics.q_min == runs[0].final_metrics.q_min
 
 
 def _sphere_patches():

@@ -7,7 +7,7 @@ from tetforge.barrier import BarrierParams, assemble_patch_system, compute_gamma
 from tetforge.driver import MAX_PATCH_VERTICES, Patch, RunConfig, _seed_chunks, optimize_mesh, select_patches
 from tetforge.fixtures import generate_test_mesh
 from tetforge.mesh import TetMesh, VertexClass, dihedral_angles_batch, tet_volumes
-from tetforge.metrics import global_metrics
+from tetforge.metrics import dihedral_range, global_metrics
 from tetforge.quality import quality_batch
 from tetforge.solver import newton_direction
 from tetforge.topology import build_topology
@@ -442,7 +442,7 @@ def test_all_patches_mode_preserves_invertibility():
     assert tet_volumes(mesh.tet_points()).min() > 0.0
 
 
-def test_parallel_dispatch_matches_invariants():
+def test_sliver_run_at_high_target_stays_valid_and_nears_it():
     mesh = generate_test_mesh("with-slivers", 4, seed=3, k=3, jitter=0.1)
     report = optimize_mesh(mesh, RunConfig(target_quality=0.5))
     assert report.min_quality_seen > 0.0
@@ -506,6 +506,32 @@ def test_pass_metrics_equal_whole_mesh_recompute(kind):
     assert report.initial_metrics == initial
     assert report.final_metrics == global_metrics(mesh, adjacency)
     assert len(checked) == len(report.passes) >= 2
+
+
+def test_pass_and_final_dihedral_ranges_skip_the_same_nan_angles(monkeypatch):
+    # the per-pass range and global_metrics read one rule: NaN angles (those
+    # along a zero-area face) are skipped, and only all-NaN or no angles give NaN
+    def with_nan(points):
+        angles = dihedral_angles_batch(points)
+        angles[angles < 45.0] = np.nan
+        return angles
+
+    monkeypatch.setattr(tetforge.driver, "dihedral_angles_batch", with_nan)
+    mesh = generate_test_mesh("with-slivers", 3, seed=1, k=1, jitter=0.05)
+    report = optimize_mesh(mesh, RunConfig(target_quality=0.4))
+    angles = with_nan(mesh.tet_points())
+    assert np.isnan(angles).any() and not np.isnan(angles).all()
+    expected = (float(np.nanmin(angles)), float(np.nanmax(angles)))
+    last, final = report.passes[-1], report.final_metrics
+    assert (last.min_dihedral_deg, last.max_dihedral_deg) == expected
+    assert (final.min_dihedral_deg, final.max_dihedral_deg) == expected
+    for empty in (np.full((3, 6), np.nan), np.empty((0, 6))):
+        assert np.isnan(dihedral_range(empty)).all()
+    adjacency = build_topology(mesh)
+    points = mesh.tet_points()
+    no_angles = global_metrics(mesh, adjacency, (tet_volumes(points), quality_batch(points),
+                                                 np.full((mesh.num_tets, 6), np.nan)))
+    assert np.isnan(no_angles.min_dihedral_deg) and np.isnan(no_angles.max_dihedral_deg)
 
 
 def test_pass_counters_deterministic_and_nonzero():
