@@ -54,14 +54,9 @@ def compute_gamma(q_min: float, b: float) -> float:
     """
     if not 0.0 < b < 1.0:
         raise ValueError(f"barrier constant b must lie in (0,1), got {b}")
-    if q_min > 0.0:
-        gamma = b * q_min
-    elif q_min < 0.0:
-        gamma = q_min / b
-    else:
-        gamma = -(1.0 - b)
-    if gamma >= q_min:
-        # subnormal q_min can round the product back onto q_min
+    gamma = b * q_min if q_min > 0.0 else q_min / b
+    if not gamma < q_min:
+        # q_min of 0 or NaN, or a subnormal one that the product rounds back onto
         gamma = -(1.0 - b)
     return gamma
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import logging
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -126,9 +126,6 @@ class PassRecord:
     max_patch_dofs: int
     stalled_seeds: list  # seed tet ids of the stalled waves, wave by wave
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass
 class OptimizationReport:
@@ -141,7 +138,7 @@ class OptimizationReport:
 
     def to_dict(self) -> dict:
         return {
-            "passes": [p.to_dict() for p in self.passes],
+            "passes": [asdict(p) for p in self.passes],
             "initial": self.initial_metrics.to_dict() if self.initial_metrics else None,
             "final": self.final_metrics.to_dict() if self.final_metrics else None,
             "volume_drift_percent": self.volume_drift_percent,
@@ -337,13 +334,11 @@ def optimize_mesh(mesh: TetMesh, config: RunConfig,
             for patch in patches:
                 # the tangent frames, built from the current vertex classes, alone
                 # restrict the step: a free vertex that is now a corner, demoted by an
-                # earlier patch or by this build, keeps no frame column and does not move
-                constraints = None
-                if config.surface_motion:
-                    constraints, _ = build_constraints(patch, mesh, adjacency)
-                    if constraints.num_rows == 0:
-                        constraints = None
-                solve = optimize_patch(mesh, patch, params, constraints=constraints)
+                # earlier patch or by this build, keeps no frame column and does not move;
+                # a wave without surface vertices gets identity frames and no constraint
+                constraints, _ = build_constraints(patch, mesh, adjacency)
+                solve = optimize_patch(mesh, patch, params,
+                                       constraints=constraints if constraints.num_rows else None)
                 touched[patch.ring_tets] = True
                 counts["newton_iterations"] += solve.iterations
                 counts["shifted_solves"] += solve.shifted_solves

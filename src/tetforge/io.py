@@ -2,13 +2,15 @@
 
 Indices are 1-based on disk for Medit and 0-based for VTK; in memory both
 map to 0-based TetMesh connectivity.  Coordinates are printed with 17
-significant digits, which round-trips float64 exactly.  Writers go through
-a temp file in the destination directory followed by an atomic rename.
+significant digits, which round-trips float64 exactly.  Files are read and
+written as UTF-8 whatever the locale.  Writers go through a temp file in
+the destination directory followed by an atomic rename.
 """
 
 from __future__ import annotations
 
 import os
+import stat
 import tempfile
 import warnings
 from itertools import compress
@@ -19,54 +21,53 @@ import numpy as np
 from tetforge.errors import MeshFormatError
 from tetforge.mesh import TetMesh
 
-FORMATS = ("medit", "vtk")
-
 _VTK_TET = 10
 _VTK_TRI = 5
 
 
 def infer_format(path) -> str:
     ext = Path(path).suffix.lower()
-    if ext == ".mesh":
-        return "medit"
-    if ext == ".vtk":
-        return "vtk"
-    raise MeshFormatError(f"cannot infer mesh format from extension {ext!r} of {path}")
+    if ext not in _EXTENSIONS:
+        raise MeshFormatError(f"cannot infer mesh format from extension {ext!r} of {path}")
+    return _EXTENSIONS[ext]
+
+
+def _codec(path, fmt: str | None):
+    """(reader, writer) of format fmt or, when fmt is None, of the format path's extension names."""
+    fmt = fmt or infer_format(path)
+    if fmt not in _CODECS:
+        raise MeshFormatError(f"unknown mesh format {fmt!r}")
+    return _CODECS[fmt]
 
 
 def load_mesh(path, fmt: str | None = None) -> TetMesh:
     """Read a tetrahedral mesh; fmt is 'medit', 'vtk', or None to infer."""
-    fmt = fmt or infer_format(path)
-    if fmt == "medit":
-        return _load_medit(path)
-    if fmt == "vtk":
-        return _load_vtk(path)
-    raise MeshFormatError(f"unknown mesh format {fmt!r}")
+    return _codec(path, fmt)[0](path)
 
 
 def save_mesh(mesh: TetMesh, path, fmt: str | None = None) -> None:
     """Write a mesh atomically; fmt is 'medit', 'vtk', or None to infer."""
     mesh.validate()
-    fmt = fmt or infer_format(path)
-    if fmt == "medit":
-        chunks = _format_medit(mesh)
-    elif fmt == "vtk":
-        chunks = _format_vtk(mesh)
-    else:
-        raise MeshFormatError(f"unknown mesh format {fmt!r}")
-    atomic_write_text(path, chunks)
+    atomic_write_text(path, _codec(path, fmt)[1](mesh))
 
 
 def atomic_write_text(path, chunks) -> None:
-    """Write an iterable of str chunks, in order, through a temp file and a rename.
+    """Write an iterable of str chunks, in order, as UTF-8 through a temp file and a rename.
 
-    An OSError names the requested path, not the temp file, and keeps its errno.
+    The file gets the mode a plain write would leave: that of the file it
+    replaces, or 0o666 less the umask for a new one (the temp file is
+    created 0o600).  Reading the umask sets it to 0 for an instant, which
+    another thread creating a file at that instant would see.  An OSError
+    names the requested path, not the temp file, and keeps its errno.
     """
     path = Path(path)
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".", suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                umask = os.umask(0)  # reading the umask means setting it; put it back at once
+                os.umask(umask)
+                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode) if path.exists() else 0o666 & ~umask)
                 fh.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:
@@ -104,8 +105,16 @@ class _Lines:
     """
 
     def __init__(self, path, strip_comments=True):
-        with open(path, "r") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            text = raw.decode("utf-8")  # on every locale
+        except UnicodeDecodeError as exc:
+            # the bad byte lies on the last line of the bytes before it followed by one more
+            line = len((raw[:exc.start] + b".").splitlines())
+            raise MeshFormatError("file is not UTF-8 text", line=line) from None
+        if "\r" in text:  # the other line ends a text-mode read accepts
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         self.lines = text.split("\n")
         if self.lines[-1] == "":
             self.lines.pop()  # the text after the final newline is no line
@@ -127,13 +136,9 @@ class _Lines:
         return [self.lines[i] for i in ids], ids
 
     def next_tokens(self):
-        if self.taken == len(self.nonblank):
-            self.pos = len(self.lines)
-            return None, self.pos
-        i = self.nonblank[self.taken]
-        self.taken += 1
-        self.pos = i + 1
-        return self.lines[i].split(), self.pos
+        """The tokens of the next non-blank line (None at end of file) and its 1-based number."""
+        rows, _ = self.records(1)
+        return (rows[0].split() if rows else None), self.pos
 
 
 # --- Medit ---------------------------------------------------------------
@@ -405,3 +410,10 @@ def _format_vtk(mesh: TetMesh):
     yield f"CELL_TYPES {ncells}\n"
     yield f"{_VTK_TET}\n" * mesh.num_tets
     yield f"{_VTK_TRI}\n" * len(mesh.surface_tris)
+
+
+# --- Format table ----------------------------------------------------------
+
+_EXTENSIONS = {".mesh": "medit", ".vtk": "vtk"}
+_CODECS = {"medit": (_load_medit, _format_medit), "vtk": (_load_vtk, _format_vtk)}
+FORMATS = tuple(_CODECS)

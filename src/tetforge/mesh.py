@@ -172,13 +172,11 @@ def group_faces(faces: np.ndarray) -> tuple:
     return order, starts, np.diff(np.r_[starts, len(order)])
 
 
-def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cross product for (m, 3) arrays, faster than np.cross."""
-    out = np.empty_like(a)
-    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
-    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
-    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    return out
+def _cross_columns(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Column-wise cross product of (3, m) arrays into out."""
+    np.subtract(a[1] * b[2], a[2] * b[1], out=out[0])
+    np.subtract(a[2] * b[0], a[0] * b[2], out=out[1])
+    np.subtract(a[0] * b[1], a[1] * b[0], out=out[2])
 
 
 def tet_signed_volume(p0, p1, p2, p3) -> float:
@@ -191,14 +189,9 @@ def tet_volumes(points: np.ndarray) -> np.ndarray:
     e1 = points[:, 1] - points[:, 0]
     e2 = points[:, 2] - points[:, 0]
     e3 = points[:, 3] - points[:, 0]
-    return np.einsum("ij,ij->i", e1, _cross_rows(e2, e3)) / 6.0
-
-
-def _cross_columns(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """Column-wise cross product of (3, m) arrays into out."""
-    np.subtract(a[1] * b[2], a[2] * b[1], out=out[0])
-    np.subtract(a[2] * b[0], a[0] * b[2], out=out[1])
-    np.subtract(a[0] * b[1], a[1] * b[0], out=out[2])
+    cross = np.empty_like(e1)
+    _cross_columns(e2.T, e3.T, cross.T)
+    return np.einsum("ij,ij->i", e1, cross) / 6.0
 
 
 # The two faces along each edge of TET_EDGES: those opposite its two opposite slots.
@@ -256,7 +249,9 @@ def dihedral_angles(p0, p1, p2, p3) -> np.ndarray:
 def triangle_area_normals(vertices: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Area-weighted normals (cross/2) of oriented triangles, (ns, 3)."""
     p = vertices[tris]
-    return 0.5 * _cross_rows(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    normals = np.empty((len(tris), 3))
+    _cross_columns((p[:, 1] - p[:, 0]).T, (p[:, 2] - p[:, 0]).T, normals.T)
+    return 0.5 * normals
 
 
 def surface_enclosed_volume(vertices: np.ndarray, tris: np.ndarray) -> float:
@@ -265,8 +260,6 @@ def surface_enclosed_volume(vertices: np.ndarray, tris: np.ndarray) -> float:
     Discrete divergence theorem: V = (1/3) sum over triangles of
     (centroid . area-weighted normal).  Exact for flat triangles.
     """
-    if len(tris) == 0:
-        return 0.0
     p = vertices[tris]
     centroids = p.mean(axis=1)
     n = triangle_area_normals(vertices, tris)

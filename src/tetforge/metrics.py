@@ -54,8 +54,7 @@ def global_metrics(mesh: TetMesh, adjacency: AdjacencyIndex,
         tet_arrays = tet_volumes(points), quality_batch(points), dihedral_angles_batch(points)
     volumes, qualities, angles = tet_arrays
     worst = int(np.nanargmin(qualities)) if len(qualities) else -1
-    area = float(np.linalg.norm(triangle_area_normals(mesh.vertices, mesh.surface_tris), axis=1).sum()) \
-        if len(mesh.surface_tris) else 0.0
+    area = float(np.linalg.norm(triangle_area_normals(mesh.vertices, mesh.surface_tris), axis=1).sum())
     min_dihedral, max_dihedral = dihedral_range(angles)
     return GlobalMetrics(
         total_volume=float(volumes.sum()),

@@ -73,23 +73,19 @@ def newton_direction(S: np.ndarray, f: np.ndarray):
     is finite and downhill; NoProgressError is raised when none is.  Returns
     (dX, tau), the pair a walk up the ladder one entry at a time would give.
 
-    S is factored unshifted first; only if that fails, or its step does, is
-    the ladder built and the first shifted entry that factors found by
-    bisection, which assumes that once S + tau I factors so does every
-    larger shift (true in exact arithmetic, as the shift raises every
-    eigenvalue).  The factor of the lowest success is
-    kept, so no entry is factored twice.  If its step fails the finiteness
-    or descent check, the entries above it are tried one by one.
+    One walk finds it.  S is factored unshifted first; only if that fails
+    is the lowest shifted entry that factors found by bisection, which
+    assumes that once S + tau I factors so does every larger shift (true in
+    exact arithmetic, as the shift raises every eigenvalue).  The walk then
+    goes up the ladder from that entry, reusing its factor, so no entry is
+    factored twice, and returns the first step that passes the finiteness
+    and descent check.
     """
     if len(f) == 0:
         return np.zeros(0), 0.0
-    cho = _factor(S, 0.0)
-    dx = None if cho is None else _descent_step(cho, f)
-    if dx is not None:
-        return dx, 0.0
     scale = float(np.abs(np.diag(S)).max()) or 1.0
     shifts = [0.0] + [10.0 ** k * scale for k in range(-12, MAX_SHIFT_EXP + 1)]
-    found = 0  # ladder index of cho
+    found, cho = 0, _factor(S, 0.0)  # the lowest entry that factors, and its factor
     if cho is None:
         lo, hi = 1, len(shifts)
         while lo < hi:
@@ -100,15 +96,11 @@ def newton_direction(S: np.ndarray, f: np.ndarray):
             else:
                 hi, cho = mid, trial
         found = hi
-        dx = None if cho is None else _descent_step(cho, f)
+    for k in range(found, len(shifts)):
+        trial = cho if k == found else _factor(S, shifts[k])
+        dx = None if trial is None else _descent_step(trial, f)
         if dx is not None:
-            return dx, shifts[found]
-    for k in range(found + 1, len(shifts)):
-        trial = _factor(S, shifts[k])
-        if trial is not None:
-            dx = _descent_step(trial, f)
-            if dx is not None:
-                return dx, shifts[k]
+            return dx, shifts[k]
     raise NoProgressError(f"system singular or ascent-only up to shift {shifts[-1]:.3g}")
 
 

@@ -192,7 +192,7 @@ def build_topology(mesh: TetMesh, feature_angle_deg: float = 30.0) -> AdjacencyI
         if mesh.vertex_class is not None
         else np.zeros(mesh.num_vertices, dtype=bool)
     )
-    tri_normals = triangle_area_normals(mesh.vertices, mesh.surface_tris) if len(mesh.surface_tris) else np.zeros((0, 3))
+    tri_normals = triangle_area_normals(mesh.vertices, mesh.surface_tris)
     norms = np.linalg.norm(tri_normals, axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         unit_normals = tri_normals / norms[:, None]

@@ -5,6 +5,8 @@ they stay independent of the analytic derivative code they are used to
 check.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,14 @@ def random_tet(rng, min_volume=1e-3):
         p = rng.random((4, 3))
         if abs(tet_signed_volume(*p)) >= min_volume:
             return p
+
+
+@pytest.fixture
+def umask_022():
+    """The umask most systems start with, for the duration of one test."""
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
 
 
 @pytest.fixture

@@ -1,9 +1,16 @@
 import json
+import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tetforge.cli
 from tetforge.cli import run_cli
+from tetforge.errors import BarrierViolationError, NoProgressError
 from tetforge.fixtures import generate_test_mesh
 from tetforge.io import load_mesh, save_mesh
 from tetforge.mesh import TetMesh, surface_enclosed_volume, tet_volumes
@@ -50,6 +57,15 @@ def test_write_into_missing_directory_names_the_path(tmp_path, sliver_mesh_file,
     assert ".tmp" not in err
 
 
+def test_module_entry_point_exits_with_the_run_code(sliver_mesh_file):
+    # the same main() the console script calls; without -o or --in-place it is a usage error
+    env = dict(os.environ, PYTHONPATH=str(Path(tetforge.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "tetforge.cli", str(sliver_mesh_file)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 3
+    assert done.stderr.startswith("tetforge: an output path (-o) is required")
+
+
 def test_bad_flags_exit_3(tmp_path, sliver_mesh_file):
     assert run_cli([str(sliver_mesh_file), "-o", str(sliver_mesh_file)]) == 3  # overwrite without --in-place
     assert run_cli([str(sliver_mesh_file)]) == 3  # no output
@@ -58,7 +74,8 @@ def test_bad_flags_exit_3(tmp_path, sliver_mesh_file):
 
 
 @pytest.mark.parametrize("flag", [["--target-quality", "nan"], ["--feature-angle", "0"],
-                                  ["--feature-angle", "-5"], ["--feature-angle", "181"]])
+                                  ["--feature-angle", "-5"], ["--feature-angle", "181"],
+                                  ["--barrier-schedule", "abc"], ["--barrier-schedule", ","]])
 def test_config_values_that_would_stop_all_motion_exit_3(tmp_path, sliver_mesh_file, capsys, flag):
     out = tmp_path / "out.mesh"
     assert run_cli([str(sliver_mesh_file), "-o", str(out), *flag]) == 3
@@ -76,6 +93,54 @@ def test_structural_error_exit_2(tmp_path):
     path = tmp_path / "bad.mesh"
     save_mesh(mesh, path)
     assert run_cli([str(path), "-o", str(tmp_path / "out.mesh")]) == 2
+
+
+@pytest.mark.parametrize("error", [NoProgressError("no shift gives a descent step"),
+                                   BarrierViolationError("element 3 crossed the barrier", tet_id=3)],
+                         ids=["no-progress", "barrier"])
+def test_run_error_exits_2(tmp_path, sliver_mesh_file, capsys, monkeypatch, error):
+    def optimize_mesh(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(tetforge.cli, "optimize_mesh", optimize_mesh)
+    out = tmp_path / "out.mesh"
+    assert run_cli([str(sliver_mesh_file), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"tetforge: {error}\n"
+    assert not out.exists()
+
+
+def _trailing_bytes(tmp_path):
+    path = tmp_path / "trailing.mesh"
+    save_mesh(TetMesh(vertices=np.eye(4, 3), tets=np.array([[0, 1, 2, 3]])), path)
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\xfe\n")
+    return path
+
+
+def _random_bytes(tmp_path):
+    path = tmp_path / "random.mesh"
+    path.write_bytes(np.random.default_rng(0).integers(0, 256, 300, dtype=np.uint8).tobytes())
+    return path
+
+
+@pytest.mark.parametrize("make", [_trailing_bytes, _random_bytes], ids=["trailing-line", "random-bytes"])
+def test_input_that_is_not_utf8_exits_1(tmp_path, capsys, make):
+    path = make(tmp_path)
+    assert run_cli([str(path), "-o", str(tmp_path / "out.mesh")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tetforge: file is not UTF-8 text (line ")
+    assert "Traceback" not in err
+
+
+def test_outputs_get_the_mode_a_plain_write_would(tmp_path, sliver_mesh_file, umask_022):
+    out, report = tmp_path / "out.mesh", tmp_path / "r.json"
+    assert run_cli([str(sliver_mesh_file), "-o", str(out), "--report", str(report), "--max-passes", "1"]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o644
+    assert stat.S_IMODE(report.stat().st_mode) == 0o644
+    # in place, the input's own mode stays
+    sliver_mesh_file.chmod(0o640)
+    assert run_cli([str(sliver_mesh_file), "--in-place", "--max-passes", "1"]) == 0
+    assert stat.S_IMODE(sliver_mesh_file.stat().st_mode) == 0o640
 
 
 @pytest.mark.parametrize("name, text", [

@@ -336,6 +336,12 @@ def test_projector_identities_random(seed, m, n):
     assert np.linalg.norm(Ck @ (R @ g) - g) <= 1e-10 * max(1.0, np.linalg.norm(g))
 
 
+def test_projector_without_rows_is_the_identity():
+    Q, R, Ck, keep, dropped = projector(np.zeros((0, 5)))
+    assert np.array_equal(Q, np.eye(5))
+    assert R.shape == (5, 0) and Ck.shape == (0, 5) and keep.size == 0 and dropped == 0
+
+
 def test_rank_deficient_rows_dropped():
     C = np.array([
         [1.0, 0.0, 0.0, 0.0],

@@ -1,6 +1,7 @@
 """Medit and VTK reader behaviour, pinned line by line, and the block writers
 against a row-by-row f-string reference."""
 
+import stat
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from tetforge.errors import MeshFormatError
 from tetforge.fixtures import generate_test_mesh
-from tetforge.io import _format_medit, _format_vtk, load_mesh, save_mesh
+from tetforge.io import _format_medit, _format_vtk, atomic_write_text, load_mesh, save_mesh
 from tetforge.mesh import TetMesh
 from tetforge.topology import build_topology
 
@@ -67,6 +68,13 @@ def test_medit_reader_accepts_optional_syntax(tmp_path):
     assert mesh.tets.dtype == mesh.vertex_refs.dtype == mesh.tet_refs.dtype == np.int64
 
 
+def test_medit_reader_needs_no_end_keyword(tmp_path):
+    assert ACCEPTED.endswith("End\n")
+    mesh = load_mesh(_write(tmp_path, ACCEPTED[:-len("End\n")]))
+    assert mesh.tets.tolist() == [[0, 1, 2, 3], [1, 2, 3, 4]]
+    assert mesh.vertices.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+
+
 def test_medit_reader_reads_back_every_written_bit(tmp_path):
     mesh = generate_test_mesh("sphere", 3, seed=4, jitter=0.3)
     build_topology(mesh)
@@ -88,12 +96,21 @@ REJECTED = [
     ("2 4 3\n", "2e0 4 3\n", "malformed 'Triangles' record", 21),
     ("2 3 4 5 -4.0 # the second\nEnd\n", "", "unexpected end of file inside 'Tetrahedra'", 27),
     ("2 4 3\n", "2 6 3\n", "triangle vertex index out of range 1..5", 21),
+    ("1 1 1 7\n", "1 1 1 1e300\n", "malformed 'Vertices' record", 12),
+    ("Edges 1\n", "Edgez 1\n", "unrecognized Medit keyword 'Edgez'", 13),
+    ("Dimension\n3\n", "Dimension\n2\n", "only Dimension 3 supported, got 2", 3),
+    ("Tetrahedra\n2\n1 2 3 4 3\n2 3 4 5 -4.0 # the second\nEnd\n", "Tetrahedra\n",
+     "missing count after 'Tetrahedra'", 25),
+    ("Vertices\n5\n0 0 0 1\n1 0 0 1  # trailing comment\n\n0 1 0\n0 0 1 2.0 extra fields\n1 1 1 7\n", "",
+     "file has no Vertices section", 21),
+    ("Tetrahedra\n2\n1 2 3 4 3\n2 3 4 5 -4.0 # the second\n", "", "file has no Tetrahedra section", 25),
 ]
 
 
 @pytest.mark.parametrize("old,new,message,line", REJECTED, ids=[
     "malformed-coordinate", "too-few-fields", "fractional-index", "float-index", "exponent-index",
-    "eof-in-tetrahedra", "triangle-index-range"])
+    "eof-in-tetrahedra", "triangle-index-range", "ref-out-of-range", "unknown-keyword", "dimension-2", "count-at-eof",
+    "no-vertices", "no-tetrahedra"])
 def test_medit_reader_rejects_with_line(tmp_path, old, new, message, line):
     assert ACCEPTED.count(old) == 1
     path = _write(tmp_path, ACCEPTED.replace(old, new))
@@ -227,6 +244,12 @@ VTK_REJECTED = [
     ("CELLS 4 18", "CELLS 4 1e1", "bad size '1e1' after 'CELLS'", 11),
     ("CELL_TYPES 4", "CELL_TYPES", "missing count after 'CELL_TYPES'", 16),
     ("CELL_TYPES 4", "CELL_TYPES 4.0", "bad count '4.0' after 'CELL_TYPES'", 16),
+    ("# vtk DataFile Version 3.0\n", "vtk DataFile Version 3.0\n", "expected '# vtk DataFile' header", 1),
+    ("ASCII\n", "BINARY\n", "only ASCII VTK files supported", 3),
+    ("DATASET UNSTRUCTURED_GRID", "DATASET POLYDATA", "expected 'DATASET UNSTRUCTURED_GRID'", 4),
+    ("POINTS 5 double", "VERTICES 5 double", "expected POINTS section", 5),
+    ("CELLS 4 18", "POLYGONS 4 18", "expected CELLS section", 11),
+    ("CELL_TYPES 4", "CELL_DATA 4", "expected CELL_TYPES section", 16),
 ]
 
 
@@ -235,13 +258,87 @@ VTK_REJECTED = [
     "too-many-cell-values", "size-field", "negative-size", "size-steps-back", "cell-count", "index-range", "type-count", "eof-in-types",
     "malformed-type", "unknown-type", "triangle-size", "tetra-size", "points-count-missing",
     "points-count-word", "points-count-negative", "cells-count-missing", "cells-size-missing",
-    "cells-size-float", "types-count-missing", "types-count-float"])
+    "cells-size-float", "types-count-missing", "types-count-float", "no-header", "binary", "not-unstructured",
+    "no-points-header", "no-cells-header", "no-types-header"])
 def test_vtk_reader_rejects_with_line(tmp_path, old, new, message, line):
     assert VTK.count(old) == 1
     with pytest.raises(MeshFormatError) as info:
         load_mesh(_write(tmp_path, VTK.replace(old, new), "in.vtk"))
     assert info.value.line == line
     assert str(info.value) == f"{message} (line {line})"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("text,name", [(ACCEPTED, "in.mesh"), (VTK, "in.vtk")], ids=["medit", "vtk"])
+def test_other_line_ends_read_as_newlines(tmp_path, text, name, newline):
+    mesh = load_mesh(_write(tmp_path, text.replace("\n", newline), name))
+    reference = load_mesh(_write(tmp_path, text, "ref" + name[2:]))
+    for attr in ("vertices", "tets", "surface_tris", "vertex_refs", "tet_refs", "tri_refs"):
+        assert np.array_equal(getattr(mesh, attr), getattr(reference, attr)), attr
+
+
+def test_non_ascii_utf8_comment_is_read(tmp_path):
+    path = tmp_path / "in.mesh"
+    path.write_bytes(ACCEPTED.replace("# written by hand", "# écrit à la main").encode("utf-8"))
+    assert load_mesh(path).tets.tolist() == [[0, 1, 2, 3], [1, 2, 3, 4]]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_bytes_that_are_not_utf8_name_their_line(tmp_path, newline):
+    path = tmp_path / "in.mesh"
+    path.write_bytes((ACCEPTED + "# trailing line\n").replace("\n", newline).encode() + b"\xff\xfe" + newline.encode())
+    with pytest.raises(MeshFormatError) as info:
+        load_mesh(path)
+    assert str(info.value) == "file is not UTF-8 text (line 31)"
+
+
+# (file name, fmt, message); {path} is the file's path
+UNKNOWN_FORMATS = [
+    ("in.obj", None, "cannot infer mesh format from extension '.obj' of {path}"),
+    ("in", None, "cannot infer mesh format from extension '' of {path}"),
+    ("in.mesh", "obj", "unknown mesh format 'obj'"),
+]
+
+
+@pytest.mark.parametrize("name,fmt,message", UNKNOWN_FORMATS, ids=["extension", "no-extension", "fmt"])
+@pytest.mark.parametrize("call", ["load", "save"])
+def test_unknown_format_is_rejected_before_any_file_is_touched(tmp_path, corner_tet, call, name, fmt, message):
+    path = tmp_path / name
+    with pytest.raises(MeshFormatError) as info:
+        if call == "load":
+            load_mesh(path, fmt)
+        else:
+            save_mesh(TetMesh(vertices=corner_tet, tets=np.array([[0, 1, 2, 3]])), path, fmt)
+    assert str(info.value) == message.format(path=path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_that_raises_leaves_no_temp_file(tmp_path):
+    def chunks():
+        yield "partial\n"
+        raise RuntimeError("writer failed")
+
+    path = tmp_path / "out.mesh"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError, match="writer failed"):
+        atomic_write_text(path, chunks())
+    assert [p.name for p in tmp_path.iterdir()] == ["out.mesh"]
+    assert path.read_text() == "old\n"
+
+
+# (mode of the file replaced, or None for a new file; the mode written)
+WRITE_MODES = [(None, 0o644), (0o640, 0o640), (0o600, 0o600), (0o664, 0o664)]
+
+
+@pytest.mark.parametrize("before,after", WRITE_MODES, ids=["new", "0640", "0600", "0664"])
+def test_write_leaves_the_mode_a_plain_write_would(tmp_path, umask_022, before, after):
+    path = tmp_path / "out.json"
+    if before is not None:
+        path.write_text("old\n")
+        path.chmod(before)
+    atomic_write_text(path, ["new\n"])
+    assert stat.S_IMODE(path.stat().st_mode) == after
+    assert path.read_text() == "new\n"
 
 
 def test_vtk_reader_matches_medit_reader(tmp_path):

@@ -288,6 +288,13 @@ def test_divergence_theorem_volume(kind, n, jitter):
 
 # --- global metrics --------------------------------------------------------
 
+def test_empty_surface_has_no_area_and_encloses_nothing(corner_tet):
+    # numpy's empty reductions give these without a warning; no special case is needed
+    none = np.zeros((0, 3), dtype=np.int64)
+    assert triangle_area_normals(corner_tet, none).shape == (0, 3)
+    assert surface_enclosed_volume(corner_tet, none) == 0.0
+
+
 def test_cube_metrics():
     mesh = generate_test_mesh("grid", 2)
     adjacency = build_topology(mesh)
@@ -316,6 +323,20 @@ def test_validate_catches_bad_indices(corner_tet):
     mesh = TetMesh(vertices=corner_tet, tets=np.array([[0, 1, 2, 3]]))
     mesh.tets = np.array([[0, 1, 2, 9]])
     with pytest.raises(MeshStructureError):
+        mesh.validate()
+
+
+@pytest.mark.parametrize("x0,tris,message", [
+    (np.nan, [], "non-finite vertex coordinates"),
+    (-np.inf, [], "non-finite vertex coordinates"),
+    (0.0, [[0, 1, 4]], "surface triangle index out of range"),
+    (0.0, [[0, -1, 2]], "surface triangle index out of range"),
+], ids=["nan", "inf", "triangle-index-high", "triangle-index-negative"])
+def test_validate_rejects_bad_coordinates_and_triangle_indices(corner_tet, x0, tris, message):
+    vertices = corner_tet.copy()
+    vertices[0, 0] = x0  # 0.0 keeps the corner tet
+    mesh = TetMesh(vertices=vertices, tets=np.array([[0, 1, 2, 3]]), surface_tris=np.array(tris, dtype=np.int64))
+    with pytest.raises(MeshStructureError, match=message):
         mesh.validate()
 
 

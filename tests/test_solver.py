@@ -313,6 +313,23 @@ def test_patch_without_unknowns_ends_converged():
         assert report.objective == 0.0
 
 
+def test_no_workable_shift_ends_the_solve_stalled_with_the_mesh_untouched(monkeypatch):
+    mesh = generate_test_mesh("with-slivers", 3, seed=1, k=2, jitter=0.05)
+    adjacency = build_topology(mesh)
+    patch = select_patches(mesh, adjacency, target_quality=0.3, surface_motion=False)[0]
+    params = BarrierParams.from_quality(float(np.nanmin(quality_batch(mesh.tet_points()))), 0.75)
+
+    def newton_direction(S, f):
+        raise NoProgressError("system singular or ascent-only")
+
+    monkeypatch.setattr(tetforge.solver, "newton_direction", newton_direction)
+    before = mesh.vertices.copy()
+    report = optimize_patch(mesh, patch, params)
+    assert report.stalled
+    assert report.iterations == 0 and report.shifted_solves == 0
+    assert np.array_equal(mesh.vertices, before)
+
+
 def test_step_below_the_rounding_floor_ends_the_solve_unsearched(monkeypatch):
     # a Newton step scaled far below round-off predicts a decrease that the
     # Armijo test cannot resolve: the solve ends as converged, and no trial

@@ -104,3 +104,8 @@ def test_incidence_slices_are_sorted_and_gather_concatenates():
     assert np.array_equal(star.gather(picked), np.concatenate([star[v] for v in picked]))
     assert star.gather([]).shape == (0,)
     assert np.array_equal(adjacency.ring_tets(picked), np.unique(star.gather(picked)))
+
+
+def test_mesh_without_tets_has_no_boundary_faces():
+    faces = extract_boundary_faces(TetMesh(vertices=np.eye(3), tets=np.zeros((0, 4), dtype=np.int64)))
+    assert faces.shape == (0, 3) and faces.dtype == np.int64
