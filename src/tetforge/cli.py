@@ -21,7 +21,7 @@ import numpy as np
 
 from tetforge.driver import RunConfig, optimize_mesh
 from tetforge.errors import MeshFormatError, MeshStructureError, TetForgeError
-from tetforge.io import FORMATS, atomic_write_text, load_mesh, save_mesh
+from tetforge.io import FORMATS, atomic_write_text, infer_format, load_mesh, save_mesh
 from tetforge.mesh import VertexClass
 from tetforge.metrics import HISTOGRAM_BINS
 from tetforge.topology import build_topology
@@ -122,6 +122,8 @@ def run_cli(argv=None) -> int:
         return EXIT_USAGE
 
     try:
+        # an output path that names no format fails here, before any work
+        output_format = args.format or infer_format(args.output)
         mesh = load_mesh(args.input, args.format)
     except (MeshFormatError, OSError) as exc:
         print(f"tetforge: {exc}", file=sys.stderr)
@@ -137,7 +139,7 @@ def run_cli(argv=None) -> int:
 
         report = optimize_mesh(mesh, config, adjacency=adjacency, on_pass=_print_pass)
 
-        save_mesh(mesh, args.output, args.format)
+        save_mesh(mesh, args.output, output_format)
         if args.histogram:
             atomic_write_text(args.histogram, [_histogram_csv(report.final_metrics.dihedral_histogram)])
         if args.report:

@@ -174,7 +174,8 @@ def project_system(S: np.ndarray, f: np.ndarray, frames: np.ndarray, keep: np.nd
 
     B is block-diagonal with the (nv, 3, 3) frames on its diagonal, so only
     the rows and columns of vertices whose frame is not the identity are
-    rotated, block by block, in one copy of S.
+    rotated, block by block, in one copy of S, and the kept rows and
+    columns are then gathered with one take each.
     """
     nv = len(frames)
     n = 3 * nv
@@ -187,5 +188,5 @@ def project_system(S: np.ndarray, f: np.ndarray, frames: np.ndarray, keep: np.nd
     cols[:, rot] = np.matmul(cols[:, rot].transpose(1, 0, 2), F).transpose(1, 0, 2)
     f_b = f.reshape(nv, 3).copy()
     f_b[rot] = np.einsum("iab,ia->ib", F, f_b[rot])
-    k = keep.reshape(-1)
-    return S_b[np.ix_(k, k)], f_b.reshape(-1)[k]
+    k = np.flatnonzero(keep)
+    return S_b.take(k, axis=0).take(k, axis=1), f_b.reshape(-1).take(k)

@@ -9,9 +9,11 @@ passes spread improvement while later ones bear down on the worst element.
 Selection groups the seeds into chunks and packs the chunks, worst seed
 first, into waves: chunks whose rings share no tet move in one Newton solve
 (the independent-set scheme of Freitag, Jones and Plassmann, IMR 1995).
-A wave's system is block-diagonal over its chunks, which share its step
-length, shift and iteration budget; chunks whose rings share a tet are
-solved in separate waves, in the order of their worst seeds.
+A wave lists its free vertices chunk by chunk, so its system is
+block-diagonal with one contiguous block per chunk, which the solver factors
+block by block; the chunks share the wave's step length, shift and
+iteration budget.  Chunks whose rings share a tet are solved in separate
+waves, in the order of their worst seeds.
 
 Selection fixes each patch's free vertices once; with surface motion the
 tangent frames built from the vertex classes at solve time then decide how
@@ -66,14 +68,21 @@ class Patch:
     """A local optimization unit: bad seed elements plus their surroundings.
 
     ring_tets covers every element incident to a free vertex, so the patch
-    objective sees all elements any free vertex can affect.  chunks counts
-    the seed chunks the patch holds, whose rings are disjoint.
+    objective sees all elements any free vertex can affect.  The patch holds
+    seed chunks whose rings are disjoint; free_vertices lists them chunk by
+    chunk, and chunk_sizes gives the number of free vertices of each, so
+    that each chunk's DOFs form one diagonal block of the Newton system.  A
+    patch built without chunk_sizes is one chunk.
     """
 
     seed_tets: np.ndarray
     free_vertices: np.ndarray
     ring_tets: np.ndarray
-    chunks: int = 1
+    chunk_sizes: list | None = None
+
+    def __post_init__(self):
+        if self.chunk_sizes is None:
+            self.chunk_sizes = [len(self.free_vertices)]
 
 
 @dataclass
@@ -236,10 +245,13 @@ def select_patches(mesh: TetMesh, adjacency: AdjacencyIndex, target_quality: flo
     waves (`_pack_waves`): the chunks of one wave have pairwise disjoint
     rings and at most MAX_PATCH_VERTICES free vertices in all, and two
     chunks whose rings share a tet lie in different waves, the one with
-    the worse seed first.  Each wave is one patch, its seeds, free vertices
-    and ring tets those of its chunks, sorted; its Newton system is
-    block-diagonal over the chunks, which share one step length, shift and
-    iteration budget.  The waves come out in the order of their worst seeds.
+    the worse seed first.  Each wave is one patch, its seeds and ring tets
+    those of its chunks, sorted, and its free vertices those of its chunks
+    laid out chunk by chunk, each chunk's sorted and the chunks in the order
+    they joined the wave.  Its Newton system is thus block-diagonal with one
+    contiguous block per chunk, and the chunks share one step length, shift
+    and iteration budget.  The waves come out in the order of their worst
+    seeds.
     """
     if qualities is None:
         qualities = quality_batch(mesh.tet_points())
@@ -266,9 +278,9 @@ def select_patches(mesh: TetMesh, adjacency: AdjacencyIndex, target_quality: flo
             rings.append(adjacency.ring_tets(free))
     waves = _pack_waves(rings, [len(free) for free in frees], mesh.num_tets, MAX_PATCH_VERTICES)
     return [Patch(seed_tets=np.sort(np.concatenate([kept[i] for i in wave])),
-                  free_vertices=np.sort(np.concatenate([frees[i] for i in wave])),
+                  free_vertices=np.concatenate([frees[i] for i in wave]),
                   ring_tets=np.sort(np.concatenate([rings[i] for i in wave])),
-                  chunks=len(wave))
+                  chunk_sizes=[len(frees[i]) for i in wave])
             for wave in waves]
 
 
@@ -366,7 +378,7 @@ def optimize_mesh(mesh: TetMesh, config: RunConfig,
                 drift_percent=drift,
                 elapsed_s=time.perf_counter() - t_pass,
                 patches=len(patches),
-                chunks=sum(p.chunks for p in patches),
+                chunks=sum(len(p.chunk_sizes) for p in patches),
                 max_patch_dofs=max(3 * len(p.free_vertices) for p in patches),
                 stalled_seeds=stalled_seeds,
                 **counts,

@@ -205,13 +205,21 @@ def dihedral_angles_batch(points: np.ndarray) -> np.ndarray:
     b of TET_EDGE_OPPOSITE[k]: with N_a, N_b their normals both pointing in
     (or both out) it is atan2(|N_a x N_b|, -N_a . N_b), for either
     orientation of the tet.  The work runs on the (12, m) transpose of the
-    coordinates, one contiguous row per coordinate.  An angle along a
-    degenerate face (zero normal, also when an edge of it has zero length)
-    is NaN rather than raising; the scalar wrapper turns those into errors.
+    coordinates, one contiguous row per coordinate.  Each tet's edges are
+    first scaled by a power of two, which is exact and changes no angle
+    whose arithmetic neither underflows nor overflows, so that tiny and huge
+    tets get their angles too.  An angle along a degenerate face (zero
+    normal, also when an edge of it has zero length) is NaN rather than
+    raising; the scalar wrapper turns those into errors.
     """
     x = np.ascontiguousarray(np.asarray(points, dtype=np.float64).reshape(-1, 12).T)
     m = x.shape[1]
-    d1, d2, d3 = x[3:6] - x[:3], x[6:9] - x[:3], x[9:] - x[:3]
+    # the edges from p_0, each tet's scaled by the power of two that brings its
+    # largest component into [1/2, 1): exact, and the normals and their products
+    # then neither underflow on a tiny tet nor overflow on a huge one
+    d = (x[3:].reshape(3, 3, m) - x[:3]).reshape(9, m)
+    np.ldexp(d, -np.frexp(np.abs(d).max(axis=0))[1], out=d)
+    d1, d2, d3 = d[:3], d[3:6], d[6:]
     # the normal of the face opposite slot l is 6 grad V at p_l
     normals = np.empty((4, 3, m))
     _cross_columns(d3 - d1, d2 - d1, normals[0])

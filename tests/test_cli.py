@@ -109,6 +109,19 @@ def test_run_error_exits_2(tmp_path, sliver_mesh_file, capsys, monkeypatch, erro
     assert not out.exists()
 
 
+def test_output_that_names_no_format_exits_1_before_the_run(tmp_path, sliver_mesh_file, capsys, monkeypatch):
+    def optimize_mesh(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(tetforge.cli, "optimize_mesh", optimize_mesh)
+    out = tmp_path / "out.obj"
+    assert run_cli([str(sliver_mesh_file), "-o", str(out)]) == 1
+    printed = capsys.readouterr()
+    assert printed.err == f"tetforge: cannot infer mesh format from extension '.obj' of {out}\n"
+    assert not any(line.startswith("pass") for line in printed.out.splitlines())
+    assert not out.exists()
+
+
 def _trailing_bytes(tmp_path):
     path = tmp_path / "trailing.mesh"
     save_mesh(TetMesh(vertices=np.eye(4, 3), tets=np.array([[0, 1, 2, 3]])), path)

@@ -236,9 +236,13 @@ def test_waves_pack_disjoint_rings_in_dependency_order(mode):
     assert worst == sorted(worst)
     for w, wave in enumerate(waves):
         held = [chunk for chunk, cw in zip(chunks, chunk_wave) if cw == w]
-        assert wave.chunks == len(held)
-        for name, k in (("seed_tets", 0), ("free_vertices", 1), ("ring_tets", 2)):
+        assert len(wave.chunk_sizes) == len(held)
+        for name, k in (("seed_tets", 0), ("ring_tets", 2)):
             assert getattr(wave, name).tolist() == sorted(v for chunk in held for v in chunk[k]), name
+        # free vertices chunk by chunk, each chunk's sorted, the chunks in the order they joined the wave
+        assert wave.free_vertices.tolist() == [v for _, free, _ in held for v in sorted(free)]
+        assert wave.chunk_sizes == [len(free) for _, free, _ in held]
+        assert sum(wave.chunk_sizes) == len(wave.free_vertices)
         # the chunks of one wave have pairwise disjoint rings
         assert len(set(wave.ring_tets.tolist())) == sum(len(ring) for _, _, ring in held)
     # two chunks whose rings share a tet are solved in the order of their worst seeds
@@ -259,7 +263,7 @@ def test_wave_system_is_block_diagonal_over_its_chunks():
     checked = 0
     for wave in select_patches(mesh, adjacency, 0.3, mode="all-patches"):
         system = assemble_patch_system(mesh, wave, params)
-        dx, tau = newton_direction(system.S, system.f)
+        dx, tau = newton_direction(system.S, system.f, 3 * np.asarray(wave.chunk_sizes))
         dofs, steps = [], []  # of each chunk of the wave
         for seeds, free, ring in chunks:
             if not seeds <= set(wave.seed_tets.tolist()):
@@ -268,18 +272,21 @@ def test_wave_system_is_block_diagonal_over_its_chunks():
             own = assemble_patch_system(
                 mesh, Patch(seed_tets=np.array(sorted(seeds)), free_vertices=np.array(free),
                             ring_tets=np.array(sorted(ring))), params)
-            dofs.append((3 * np.searchsorted(wave.free_vertices, free)[:, None] + np.arange(3)).reshape(-1))
+            position = {int(v): i for i, v in enumerate(wave.free_vertices)}
+            dofs.append((3 * np.array([position[v] for v in free])[:, None] + np.arange(3)).reshape(-1))
             steps.append(newton_direction(own.S, own.f))
         if len(dofs) < 2 or tau != 0.0 or any(t != 0.0 for _, t in steps):
             continue
+        # each chunk's DOFs are one contiguous block, the blocks in wave order
+        assert np.array_equal(np.concatenate(dofs), np.arange(len(system.f)))
         block = np.full(len(system.f), -1)
         for k, d in enumerate(dofs):
             block[d] = k
         assert (block >= 0).all()
-        # S vanishes between chunks, and the wave's step is each chunk's own
+        # S vanishes between chunks, and the wave's block solve gives each chunk its own step, bit for bit
         assert not system.S[block[:, None] != block[None, :]].any()
         for d, (step, _) in zip(dofs, steps):
-            assert np.linalg.norm(dx[d] - step) <= 1e-12 * np.linalg.norm(step)
+            assert np.array_equal(dx[d], step)
         checked += 1
     assert checked > 0
 

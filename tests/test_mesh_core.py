@@ -132,6 +132,26 @@ def test_dihedral_batch_degenerate_face_is_nan():
     assert np.abs(angles[finite] - per_edge_dihedral_angles(p)[finite]).max() <= 1e-10
 
 
+@pytest.mark.parametrize("scale", [1e-70, 1e-90, 2.0 ** -300])
+def test_tiny_tet_gets_the_angles_of_its_unscaled_shape(corner_tet, scale):
+    # the products of such a tet's face normals underflow unless its edges are scaled first
+    angles = dihedral_angles_batch(corner_tet[None] * scale)
+    assert np.array_equal(angles, dihedral_angles_batch(corner_tet[None]))
+
+
+def test_tiny_tet_in_a_mesh_counts_in_the_dihedral_range(corner_tet):
+    # a flat tet 1e-70 across beside the unit corner tet: its extreme angles are the mesh's
+    flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.3, 0.3, 0.05]])
+    mesh = TetMesh(vertices=np.concatenate([corner_tet, flat * 1e-70 - 1e-69]),
+                   tets=np.array([[0, 1, 2, 3], [4, 5, 6, 7]]))
+    mesh.validate()
+    expected = dihedral_angles_batch(flat[None])[0]
+    assert expected.max() > 150.0 and expected.min() < 10.0
+    metrics = global_metrics(mesh, build_topology(mesh))
+    assert metrics.max_dihedral_deg == pytest.approx(expected.max(), abs=1e-9)
+    assert metrics.min_dihedral_deg == pytest.approx(expected.min(), abs=1e-9)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.permutations(range(4)))
 def test_dihedral_permutation_consistency(seed, perm):

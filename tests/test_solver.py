@@ -55,25 +55,34 @@ def test_hopeless_system_raises():
         newton_direction(np.full((2, 2), np.nan), f)
 
 
-def walk_newton_direction(S, f):
-    """Reference: try every shift of the ladder from 0 upward, one factorization each."""
+def _blocks(n, sizes):
+    """(start, end) of each non-empty diagonal block; one block of n when sizes is None."""
+    ends = np.cumsum(sizes if sizes is not None else [n]).tolist()
+    return [(a, b) for a, b in zip([0] + ends[:-1], ends) if b > a]
+
+
+def walk_newton_direction(S, f, sizes=None):
+    """Reference: try every shift of the ladder from 0 upward, each diagonal block factored with cho_factor."""
     n = len(f)
     if n == 0:
         return np.zeros(0), 0.0
     scale = float(np.abs(np.diag(S)).max()) or 1.0
     shifts = [0.0] + [10.0 ** k * scale for k in range(-12, MAX_SHIFT_EXP + 1)]
-    diag = np.diag_indices(n)
+    blocks = _blocks(n, sizes)
     for tau in shifts:
         try:
-            if tau:
-                shifted = np.array(S, order="F")
-                shifted[diag] += tau
-                cho = scipy.linalg.cho_factor(shifted, overwrite_a=True, check_finite=False)
-            else:
-                cho = scipy.linalg.cho_factor(S, check_finite=False)
+            factors = []
+            for a, b in blocks:
+                if tau:
+                    shifted = np.array(S[a:b, a:b], order="F")
+                    shifted[np.diag_indices(b - a)] += tau
+                    factors.append(scipy.linalg.cho_factor(shifted, overwrite_a=True, check_finite=False))
+                else:
+                    factors.append(scipy.linalg.cho_factor(S[a:b, a:b], check_finite=False))
         except scipy.linalg.LinAlgError:
             continue
-        dx = scipy.linalg.cho_solve(cho, -f, check_finite=False)
+        dx = np.concatenate([scipy.linalg.cho_solve(cho, -f[a:b], check_finite=False)
+                             for cho, (a, b) in zip(factors, blocks)])
         if not np.all(np.isfinite(dx)):
             continue
         if float(f @ dx) <= 0.0:
@@ -81,15 +90,15 @@ def walk_newton_direction(S, f):
     raise NoProgressError(f"system singular or ascent-only up to shift {shifts[-1]:.3g}")
 
 
-def assert_same_as_walk(S, f):
+def assert_same_as_walk(S, f, sizes=None):
     """newton_direction returns the walk's tau and a bit-identical step, or raises where it does."""
     try:
-        expected = walk_newton_direction(S, f)
+        expected = walk_newton_direction(S, f, sizes)
     except NoProgressError:
         with pytest.raises(NoProgressError):
-            newton_direction(S, f)
+            newton_direction(S, f, sizes)
         return None
-    dx, tau = newton_direction(S, f)
+    dx, tau = newton_direction(S, f, sizes)
     assert tau == expected[1]
     assert np.array_equal(dx, expected[0])
     return tau
@@ -122,14 +131,97 @@ def test_bisection_matches_walk_on_random_systems(rng):
 def test_bisection_matches_walk_on_sphere_patch_systems(monkeypatch):
     calls = []
 
-    def checked(S, f):
-        calls.append(assert_same_as_walk(S, f))
-        return newton_direction(S, f)
+    def checked(S, f, sizes):
+        calls.append((assert_same_as_walk(S, f, sizes), len(sizes)))
+        return newton_direction(S, f, sizes)
 
     monkeypatch.setattr(tetforge.solver, "newton_direction", checked)
     optimize_mesh(generate_test_mesh("sphere", 4, seed=1, jitter=0.2), RunConfig(max_passes=3))
     assert len(calls) > 50
-    assert sum(1 for tau in calls if tau) > 10
+    assert sum(1 for tau, _ in calls if tau) > 10
+    # the walk went block by block on waves of several chunks, shifted ones among them
+    assert sum(1 for tau, chunks in calls if tau and chunks > 1) > 0
+
+
+def _block_diagonal(rng, sizes, ratios):
+    """Block-diagonal S of _system_with_ratio blocks, one ratio each, every diagonal entry +-1.
+
+    The common scale keeps each shifted system well conditioned, so that
+    a dense factorization and a block one agree to a few ulps.
+    """
+    n = sum(sizes)
+    S = np.zeros((n, n))
+    for (a, b), ratio in zip(_blocks(n, sizes), ratios):
+        block = _system_with_ratio(rng, b - a, ratio)
+        S[a:b, a:b] = block / abs(block[0, 0])
+    return S
+
+
+def test_block_solve_matches_dense_walk_on_random_block_systems(rng):
+    # every block factors unshifted, or one indefinite block makes every block
+    # share a tau > 0, or one block needs more than the ladder's top shift
+    shifted = 0
+    for trial in range(60):
+        sizes = rng.integers(1, 13, size=rng.integers(2, 7)).tolist()
+        ratios = [0.5] * len(sizes)
+        if trial % 3:
+            ratios[int(rng.integers(len(sizes)))] = [-0.2, -0.03, -0.5, -2.0][trial % 4]
+        S = _block_diagonal(rng, sizes, ratios)
+        f = rng.normal(size=len(S))
+        try:
+            expected = walk_newton_direction(S, f)
+        except NoProgressError:
+            with pytest.raises(NoProgressError):
+                newton_direction(S, f, sizes)
+            continue
+        tau = assert_same_as_walk(S, f, sizes)
+        assert tau == expected[1]
+        assert (tau > 0.0) == (trial % 3 != 0)
+        dx, _ = newton_direction(S, f, sizes)
+        assert np.linalg.norm(dx - expected[0]) <= 1e-12 * np.linalg.norm(expected[0])
+        # the blocks off the diagonal are never read
+        poisoned = np.full_like(S, np.nan)
+        for a, b in _blocks(len(S), sizes):
+            poisoned[a:b, a:b] = S[a:b, a:b]
+        dx_poisoned, tau_poisoned = newton_direction(poisoned, f, sizes)
+        assert tau_poisoned == tau and np.array_equal(dx_poisoned, dx)
+        shifted += int(tau > 0.0)
+    assert shifted > 20
+
+    # max|diag S| = 1 over the system, and the second block has eigenvalue -3e5 + 1: no rung works
+    S = np.zeros((4, 4))
+    S[:2, :2] = np.eye(2)
+    S[2:, 2:] = [[1.0, 3e5], [3e5, 1.0]]
+    f = np.ones(4)
+    for sizes in (None, [2, 2]):
+        with pytest.raises(NoProgressError):
+            walk_newton_direction(S, f, sizes)
+        with pytest.raises(NoProgressError):
+            newton_direction(S, f, sizes)
+
+
+def test_multi_chunk_waves_factor_one_chunk_block_at_a_time(monkeypatch):
+    solves = []  # (block sizes, orders factored) of each Newton system
+    factor = tetforge.solver.dpotrf
+    direction = tetforge.solver.newton_direction
+
+    def recorded(a, **kwargs):
+        solves[-1][1].append(len(a))
+        return factor(a, **kwargs)
+
+    def solve(S, f, sizes):
+        solves.append(([int(n) for n in sizes], []))
+        return direction(S, f, sizes)
+
+    monkeypatch.setattr(tetforge.solver, "dpotrf", recorded)
+    monkeypatch.setattr(tetforge.solver, "newton_direction", solve)
+    optimize_mesh(generate_test_mesh("sphere", 4, seed=1, jitter=0.2), RunConfig(max_passes=3))
+    multi = [(sizes, orders) for sizes, orders in solves if sum(n > 0 for n in sizes) > 1]
+    assert len(multi) > 10
+    for sizes, orders in solves:
+        assert orders and max(orders) <= max(sizes)
+        assert set(orders) <= set(sizes)
+    assert all(max(orders) < sum(sizes) for sizes, orders in multi)
 
 
 def test_bisection_matches_walk_at_top_of_ladder():
@@ -144,7 +236,7 @@ def test_bisection_matches_walk_at_top_of_ladder():
 def test_failed_descent_check_walks_up_from_the_bisected_shift(monkeypatch):
     # the first solve of each search comes back non-finite; both searches must
     # then move on to the shift above the first one that factors
-    solve = scipy.linalg.cho_solve
+    solve, lapack_solve = scipy.linalg.cho_solve, tetforge.solver.dpotrs
     calls = []
 
     def first_solve_poisoned(cho, b, **kwargs):
@@ -152,7 +244,13 @@ def test_failed_descent_check_walks_up_from_the_bisected_shift(monkeypatch):
         dx = solve(cho, b, **kwargs)
         return np.full_like(dx, np.nan) if len(calls) == 1 else dx
 
+    def first_lapack_solve_poisoned(c, b, **kwargs):
+        calls.append(None)
+        dx, info = lapack_solve(c, b, **kwargs)
+        return (np.full_like(dx, np.nan) if len(calls) == 1 else dx), info
+
     monkeypatch.setattr(scipy.linalg, "cho_solve", first_solve_poisoned)
+    monkeypatch.setattr(tetforge.solver, "dpotrs", first_lapack_solve_poisoned)
     S = np.diag([1.0, -0.03])
     f = np.array([1.0, 1.0])
     expected_dx, expected_tau = walk_newton_direction(S, f)
@@ -163,14 +261,19 @@ def test_failed_descent_check_walks_up_from_the_bisected_shift(monkeypatch):
 
 
 def test_bisection_factors_about_five_times_where_walk_factors_thirteen(monkeypatch):
-    factor = scipy.linalg.cho_factor
+    factor, lapack_factor = scipy.linalg.cho_factor, tetforge.solver.dpotrf
     count = [0]
 
     def counted(*args, **kwargs):
         count[0] += 1
         return factor(*args, **kwargs)
 
+    def lapack_counted(*args, **kwargs):
+        count[0] += 1
+        return lapack_factor(*args, **kwargs)
+
     monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+    monkeypatch.setattr(tetforge.solver, "dpotrf", lapack_counted)
     # max|diag S| = 1 and lowest eigenvalue -0.03: the first shift that factors is 1e-1
     S = np.diag([1.0, -0.03])
     f = np.array([1.0, 1.0])
@@ -319,7 +422,7 @@ def test_no_workable_shift_ends_the_solve_stalled_with_the_mesh_untouched(monkey
     patch = select_patches(mesh, adjacency, target_quality=0.3, surface_motion=False)[0]
     params = BarrierParams.from_quality(float(np.nanmin(quality_batch(mesh.tet_points()))), 0.75)
 
-    def newton_direction(S, f):
+    def newton_direction(S, f, sizes):
         raise NoProgressError("system singular or ascent-only")
 
     monkeypatch.setattr(tetforge.solver, "newton_direction", newton_direction)
@@ -339,7 +442,7 @@ def test_step_below_the_rounding_floor_ends_the_solve_unsearched(monkeypatch):
     patch = select_patches(mesh, adjacency, target_quality=0.3, surface_motion=False)[0]
     params = BarrierParams.from_quality(float(np.nanmin(quality_batch(mesh.tet_points()))), 0.75)
     newton_direction = tetforge.solver.newton_direction
-    monkeypatch.setattr(tetforge.solver, "newton_direction", lambda S, f: (1e-100 * newton_direction(S, f)[0], 0.0))
+    monkeypatch.setattr(tetforge.solver, "newton_direction", lambda S, f, sizes: (1e-100 * newton_direction(S, f, sizes)[0], 0.0))
     trials = []
     trial_quality = tetforge.solver.quality_batch
     monkeypatch.setattr(tetforge.solver, "quality_batch", lambda points: trials.append(len(points)) or trial_quality(points))
