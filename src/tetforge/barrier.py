@@ -17,20 +17,18 @@ down.  With c1 = I'(q) and c2 = I''(q) it is quality.py's one formula
 
 with G = [grad V; grad S] (2 x 12), and the gradient is c1 (A, B) G, all
 read off the kernel's grads and coef.  The assembly forms M once for the
-whole ring and the gradient as one (m, 12) array.
+whole ring and the gradient as one (12, m) array.
 
-Patch assembly sums only the entries whose vertex slots are free.  A
-`PatchPlan`, built once per patch solve from connectivity alone, splits the
-ring into two groups by the number of free slots of each element, those
-with exactly one first.  Such an element, free in slot i only, needs the
-one 3x3 block (i, i), where H_V is 0 and H_S is 6 I_3 (quality.py), so its
-block is G_i^T (M G_i) + 6 c1 B I_3 with G_i the 2 x 3 columns of slot i.
-Every other element goes through `quality.derivatives`, which builds its
-12 x 12 table G^T (M G): its 4-bit mask of free slots picks its free
-coordinates and Hessian entries off constant tables for the 16 masks.
-Both groups end in one scatter-add each for f and S.  The plan keeps its
-indices as int32 flat arrays, with the (m, 12) index of the ring
-coordinates that the assembly and the line search both read.
+Patch assembly sums only the 3 x 3 blocks whose two vertex slots are
+free.  A `PatchPlan`, built once per patch solve from connectivity alone,
+lists every pair (i, j) of free slots of every ring element, picked by the
+element's 4-bit free-slot mask off a constant 16 x 16 table, and one path
+serves them all: `quality.derivatives` gives each pair's block
+G_i^T (M G_j) + c1 (A H_V + B H_S)_ij, and one scatter-add each sums the
+blocks into S and the free coordinates of c1 (A, B) G into f.  The kernel,
+the assembly and the line search work on (12, m) coordinate rows, and the
+plan's one index of the free coordinates in those rows serves f and the
+trial step alike.
 """
 
 from __future__ import annotations
@@ -40,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from tetforge.errors import BarrierViolationError
-from tetforge.quality import CURVATURE_COLUMN, derivatives, quality_diff_batch
+from tetforge.quality import derivatives, quality_diff_batch, slot_pairs
 
-_XYZ4 = np.tile(np.arange(3, dtype=np.int32), 4)
+_XYZ4 = np.tile(np.arange(3), 4)[:, None]
 
 
 def compute_gamma(q_min: float, b: float) -> float:
@@ -94,50 +92,41 @@ def barrier_values_batch(q: np.ndarray, gamma: float) -> np.ndarray:
     return np.where(q > gamma, values, np.inf)
 
 
-# For each of the 16 masks (bit i set: vertex slot i is free), the free
-# coordinates 3i..3i+2 and the Hessian entries (r, c) between them.
+# For each of the 16 masks (bit i set: vertex slot i is free), its pairs
+# (i, j) of free slots, as 4 i + j.
 _SLOT_BITS = 1 << np.arange(4)
-_FREE_COORDS = np.repeat((np.arange(16)[:, None] & _SLOT_BITS) > 0, 3, axis=1)
-_FREE_ENTRIES = (_FREE_COORDS[:, :, None] & _FREE_COORDS[:, None, :]).reshape(16, 144)
-
-
-# The masks with one free slot; (grad V, grad S) of slot 0 in an element's
-# (2, 12) grads; the 9 entries of a 3x3 block as (row, column) offsets from
-# its first DOF.
-_ONE_SLOT = _FREE_COORDS[:, ::3].sum(axis=1) == 1
-_SLOT0_GRADS = np.array([0, 1, 2, 12, 13, 14], dtype=np.int32)
-_BLOCK_ROW, _BLOCK_COL = np.divmod(np.arange(9, dtype=np.int32), 3)
+_FREE_SLOTS = (np.arange(16)[:, None] & _SLOT_BITS) > 0
+_FREE_PAIRS = (_FREE_SLOTS[:, :, None] & _FREE_SLOTS[:, None, :]).reshape(16, 16)
 
 
 @dataclass
 class PatchPlan:
     """Connectivity-only index arrays for assembling one patch.
 
-    ring, free : ring element ids, the len(single) with one free slot
-        first, each group in patch order; free vertex ids, free[i] owning
-        DOFs 3i..3i+2
-    coords : (m, 12) index into mesh.vertices.reshape(-1) of each ring
-        element's coordinates, read by the assembly and the line search
-    grad_index, grad_dof : flat (m*12) gradient entries of free slots, in
-        order, and the DOF each lands in; the first 3 len(single) are the
-        gradient DOFs of the one-slot elements
-    single : (k, 6) flat index into the kernel's (m, 2, 12) grads of
-        (grad_i V, grad_i S) for the free slot i of each one-slot element
-    entry, curv : the Hessian entries (e, r, c) between free coordinates of
-        the other elements, e counted from the first of them, as
-        `quality.derivatives` takes them
-    scatter : flat row-major index into S of the 9 block entries of each
-        one-slot element, then of each entry; all are int32, which holds
-        n * n for any S that fits in memory
+    ring, free : ring element ids in patch order; free vertex ids, free[i]
+        owning DOFs 3i..3i+2
+    coords : (12, m) index into mesh.vertices.reshape(-1) of the coordinate
+        rows of the m ring elements, read by the assembly and the line search
+    row, col, curv : every pair (i, j) of free slots of every ring element,
+        count^2 for an element with count free slots, element by element, as
+        `quality.slot_pairs` locates them: row and col are (3, pairs) flat
+        indices into the coordinate rows, curv (3, 3, pairs)
+    free_coords, free_dofs : the flat index into the coordinate rows of each
+        free coordinate, 3 per free slot (the rows of the pairs (i, i)), and
+        its DOF; f and the line search's step both read them
+    scatter : flat row-major index into S of the 9 entries of each pair's
+        block, in the (3, 3, pairs) order of `quality.derivatives`; it and
+        curv, the plan's largest arrays, are int32, which holds n * n for any
+        S that fits in memory
     """
 
     ring: np.ndarray
     free: np.ndarray
     coords: np.ndarray
-    grad_index: np.ndarray
-    grad_dof: np.ndarray
-    single: np.ndarray
-    entry: np.ndarray
+    free_coords: np.ndarray
+    free_dofs: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
     curv: np.ndarray
     scatter: np.ndarray
 
@@ -150,34 +139,20 @@ def plan_patch(mesh, patch) -> PatchPlan:
     """Index arrays for the free-slot assembly of `patch` on `mesh`'s connectivity."""
     free = np.asarray(patch.free_vertices, dtype=np.int64)
     ring = np.asarray(patch.ring_tets, dtype=np.int64)
-    tets = mesh.tets[ring]
-    n = 3 * len(free)
-    # first DOF of each slot's vertex, negative on fixed ones
-    slot_dof = np.full(len(mesh.vertices), -1, dtype=np.int32)
-    slot_dof[free] = np.arange(0, n, 3, dtype=np.int32)
-    slot_dof = slot_dof[tets]
-    mask = (slot_dof >= 0) @ _SLOT_BITS
-    one_slot = _ONE_SLOT[mask]
-    order = np.argsort(~one_slot, kind="stable")
-    ring, tets, slot_dof, mask = ring[order], tets[order], slot_dof[order], mask[order]
-    k = int(np.count_nonzero(one_slot))
-    dof = (slot_dof.repeat(3, axis=1) + _XYZ4).reshape(-1)  # of each of the 12 m coordinates, where free
-    grad_index = np.flatnonzero(_FREE_COORDS[mask]).astype(np.int32)
-    grad_dof = dof[grad_index]
-
-    start = grad_index[:3 * k:3]  # 12 e + 3 i for one-slot element e, free in slot i
-    single = (start + 12 * np.arange(k, dtype=np.int32))[:, None] + _SLOT0_GRADS
-    first = grad_dof[:3 * k:3, None]
-    block = (first + _BLOCK_ROW) * n + first + _BLOCK_COL
-
-    entry = np.flatnonzero(_FREE_ENTRIES[mask[k:]]).astype(np.int32)  # 144 e + 12 r + c
-    row, elem = entry // 12, entry // 144  # 12 e + r and e
-    col = entry - 12 * row + 12 * elem  # 12 e + c
-    many = dof[12 * k:]
-    return PatchPlan(ring=ring, free=free, coords=(3 * tets).astype(np.int32).repeat(3, axis=1) + _XYZ4,
-                     grad_index=grad_index, grad_dof=grad_dof, single=single, entry=entry,
-                     curv=39 * elem + CURVATURE_COLUMN.take(entry - 144 * elem),
-                     scatter=np.concatenate([block.reshape(-1), many[row] * n + many[col]]))
+    tets = mesh.tets[ring].T
+    m, n = len(ring), 3 * len(free)
+    vertex_dof = np.full(len(mesh.vertices), -3)  # first DOF of each free vertex; -3 + 0..2 < 0 on fixed ones
+    vertex_dof[free] = np.arange(0, n, 3)
+    slot_dof = vertex_dof[tets]
+    coord_dof = slot_dof.repeat(3, axis=0) + _XYZ4  # of each of the (12, m) ring coordinates
+    elem, pair = np.divmod(np.flatnonzero(_FREE_PAIRS.take(_SLOT_BITS @ (slot_dof >= 0), axis=0)), 16)
+    row, col, curv = slot_pairs(elem, pair, m)
+    # the rows of the pairs (i, i) are the free coordinates
+    free_coords = row[:, pair % 5 == 0].reshape(-1)
+    scatter = coord_dof.take(row)[:, None] * n + coord_dof.take(col)[None]
+    return PatchPlan(ring=ring, free=free, coords=3 * tets.repeat(3, axis=0) + _XYZ4,
+                     free_coords=free_coords, free_dofs=coord_dof.take(free_coords),
+                     row=row, col=col, curv=curv.astype(np.int32), scatter=scatter.astype(np.int32).reshape(-1))
 
 
 @dataclass
@@ -213,8 +188,7 @@ def assemble_patch_system(mesh, patch, params: BarrierParams, plan: PatchPlan | 
     if len(plan.ring) == 0 or n == 0:
         return PatchSystem(S=np.zeros((n, n)), f=np.zeros(n), objective=0.0, plan=plan)
 
-    x = mesh.vertices.take(plan.coords)
-    terms = quality_diff_batch(x)
+    terms = quality_diff_batch(mesh.vertices.take(plan.coords).T)
     q, gamma = terms.q, params.gamma
     if not q.min() > gamma:
         k = int(np.argmin(q > gamma))  # the first element at or below gamma, or NaN
@@ -228,17 +202,12 @@ def assemble_patch_system(mesh, patch, params: BarrierParams, plan: PatchPlan | 
     c1, c2 = q / (1.0 - gamma) - inv, 1.0 / (1.0 - gamma) + inv * inv
 
     # M = c1 N + c2 (A, B)^T (A, B) and c1 (A, B) for the whole ring
-    a, b, n01, n11 = terms.coef.T
+    a, b, n01, n11 = terms.coef
     off = c1 * n01 + c2 * a * b
-    weights = np.stack([c2 * a * a, off, off, c1 * n11 + c2 * b * b], axis=1).reshape(-1, 2, 2)
-    ab = c1[:, None] * terms.coef[:, :2]
-    grad = np.matmul(ab[:, None], terms.grads)
-
-    k = len(plan.single)
-    g = terms.grads.take(plan.single).reshape(k, 2, 3)
-    blocks = np.matmul(g.transpose(0, 2, 1), np.matmul(weights[:k], g)).reshape(k, 9)
-    blocks[:, ::4] += 6.0 * ab[:k, 1:]
-    hess = derivatives(terms.grads[k:], terms.edges[k:], ab[k:], weights[k:], plan.entry, plan.curv)
-    f = np.bincount(plan.grad_dof, weights=grad.take(plan.grad_index), minlength=n)
-    S = np.bincount(plan.scatter, weights=np.concatenate([blocks.reshape(-1), hess]), minlength=n * n).reshape(n, n)
+    weights = np.array([[c2 * a * a, off], [off, c1 * n11 + c2 * b * b]])
+    ab = c1 * terms.coef[:2]
+    grad = ab[0] * terms.grads[0] + ab[1] * terms.grads[1]
+    hess = derivatives(terms.grads, terms.edges, ab, weights, plan.row, plan.col, plan.curv)
+    f = np.bincount(plan.free_dofs, weights=grad.take(plan.free_coords), minlength=n)
+    S = np.bincount(plan.scatter, weights=hess.reshape(-1), minlength=n * n).reshape(n, n)
     return PatchSystem(S=S, f=f, objective=float(val.sum()), plan=plan)

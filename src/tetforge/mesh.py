@@ -112,7 +112,8 @@ class TetMesh:
             raise MeshStructureError("vertex coordinates out of range: need |x| <= 2^100 and extent >= 2^-100")
         from tetforge.quality import quality_batch  # quality imports this module
 
-        bad = ~np.isfinite(quality_batch(self.tet_points()))
+        # the points as a view of their coordinate rows, which quality_batch reads without a transpose
+        bad = ~np.isfinite(quality_batch(self.vertices.T.take(self.tets.T, axis=1).T))
         if np.any(bad):
             raise MeshStructureError(f"tet {int(np.argmax(bad))} is degenerate: its quality is not finite")
         if len(self.surface_tris):
@@ -260,6 +261,24 @@ def triangle_area_normals(vertices: np.ndarray, tris: np.ndarray) -> np.ndarray:
     normals = np.empty((len(tris), 3))
     _cross_columns((p[:, 1] - p[:, 0]).T, (p[:, 2] - p[:, 0]).T, normals.T)
     return 0.5 * normals
+
+
+def triangle_unit_normals(vertices: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """Unit normals of oriented triangles, (ns, 3); NaN for a zero-area one.
+
+    Each triangle's two edges are first scaled by the power of two that
+    brings their largest component into [1/2, 1), as in
+    dihedral_angles_batch: exact, so an ordinary normal keeps its bits, and
+    the cross product of a tiny or huge triangle neither underflows nor
+    overflows.
+    """
+    p = vertices[tris]
+    d = (p[:, 1:] - p[:, :1]).reshape(-1, 6).T.copy()  # the two edges, a row per coordinate
+    np.ldexp(d, -np.frexp(np.abs(d).max(axis=0))[1], out=d)
+    normals = np.empty((len(tris), 3))
+    _cross_columns(d[:3], d[3:], normals.T)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return normals / np.linalg.norm(normals, axis=1)[:, None]
 
 
 def surface_enclosed_volume(vertices: np.ndarray, tris: np.ndarray) -> float:

@@ -6,15 +6,19 @@ a regular tet, 0 for a degenerate one and negative for an inverted one, and
 is smooth in the vertex positions wherever at least one edge has nonzero
 length.
 
-Elements are (m, 12) rows, x, y, z of p0..p3, or (m, 4, 3) arrays.  All is
-computed from the six edge vectors p_j - p_i, so nothing depends on where
-an element sits, and `quality_batch` shares its steps with the kernel
-`quality_diff_batch`, so both give the same q to the bit.  S^(3/2) is
-S sqrt(S): sqrt is correctly rounded and pow(S, 1.5) is not, so a run on
-2^k X is exactly 2^k times the run on X.  With S the sum of squared edge
-lengths and q = c V S^(-3/2), the kernel returns q, the edges,
-G = [grad V; grad S] (2 x 12) and the scalars A = c S^(-3/2),
-B = -3/2 c V S^(-5/2) and the entries n01, n11 of
+Elements come as (m, 12) rows, x, y, z of p0..p3, or (m, 4, 3) arrays.  The
+work runs on their (12, m) transpose, one row per coordinate, as in
+`mesh.dihedral_angles_batch`, viewed as (4, 3, m); an F-ordered (m, 12)
+array, the transpose of contiguous rows, is read without a copy.  Every step is elementwise across
+the columns, so an element's results do not depend on its column or on the
+other elements of the batch.  All is computed from the six edge vectors
+p_j - p_i, so nothing depends on where an element sits, and `quality_batch`
+shares its steps with the kernel `quality_diff_batch`, so both give the same
+q to the bit.  S^(3/2) is S sqrt(S): sqrt is correctly rounded and
+pow(S, 1.5) is not, so a run on 2^k X is exactly 2^k times the run on X.
+With S the sum of squared edge lengths and q = c V S^(-3/2), the kernel
+returns q, the edges, G = [grad V; grad S] (2 x 12) and the scalars
+A = c S^(-3/2), B = -3/2 c V S^(-5/2) and the entries n01, n11 of
 N = [[0, n01], [n01, n11]]:
 
     grad q = (A, B) G,    Hess q = A H_V + B H_S + G^T N G.
@@ -26,11 +30,12 @@ M = c1 N + c2 (A, B)^T (A, B) gives
 
     grad f = c1 (A, B) G,    Hess f = G^T M G + c1 (A H_V + B H_S).
 
-`derivatives` evaluates the Hessian entries asked for: the barrier assembly
-those between free coordinates of elements with two or more free vertices
-(barrier.py reads the same M for the closed form of one),
-`volume_length_diff` (c1 = 1, c2 = 0, so M = N) all 144 of one element,
-which the finite-difference tests pin.
+`derivatives` evaluates that Hessian one 3 x 3 block per pair (i, j) of
+vertex slots, G_i^T (M G_j) plus the curvature entries, with G_i the
+2 x 3 columns of slot i: the barrier assembly asks for the pairs of free
+slots of each ring element, `volume_length_diff` (c1 = 1, c2 = 0, so
+M = N) for all 16 pairs of one element, which the finite-difference tests
+pin.
 """
 
 from __future__ import annotations
@@ -47,24 +52,27 @@ from tetforge.mesh import TET_EDGES
 # 6*sqrt(2) * V / (S/6)^(3/2) = 6^(5/2)*sqrt(2) * V * S^(-3/2).
 QCOEF = 72.0 * np.sqrt(3.0)
 
-# Edge k of TET_EDGES, (i, j), is p_j - p_i: columns 3k..3k+2 of the (m, 18) edges.
-_ENDPOINTS = np.array([[3 * j + c for _, j in TET_EDGES for c in range(3)],
-                       [3 * i + c for i, _ in TET_EDGES for c in range(3)]])
+# Edge k of TET_EDGES, (i, j), is e_ij = p_j - p_i, in rows 3k..3k+2 of the
+# (18, m) edges: e01, e02, e03, e12, e13, e23, as `_edges` forms them.
 
-# grad V at p0..p3 is, over 6, the cross product of edges (p3-p1, p2-p1),
-# (p2-p0, p3-p0), (p3-p0, p1-p0) and (p1-p0, p2-p0); with f = edges[:, _CROSS],
-# cross(a, b)_c = a_(c+1) b_(c+2) - a_(c+2) b_(c+1) is f[:, 0] f[:, 1] - f[:, 2] f[:, 3].
-_CROSS = np.array([[3 * a + (c + 1) % 3, 3 * b + (c + 2) % 3, 3 * a + (c + 2) % 3, 3 * b + (c + 1) % 3]
-                   for a, b in ((4, 3), (1, 2), (2, 0), (0, 1)) for c in range(3)]).T
+# grad V at p0..p3 is, over 6, the cross product of edges (e13, e12),
+# (e02, e03), (e03, e01) and (e01, e02); with rows a, b, c, d of _CROSS,
+# cross(u, v)_g = u_(g+1) v_(g+2) - u_(g+2) v_(g+1) is
+# edges[a] edges[b] - edges[c] edges[d].
+_CROSS = np.array([[3 * u + (g + 1) % 3, 3 * v + (g + 2) % 3, 3 * u + (g + 2) % 3, 3 * v + (g + 1) % 3]
+                   for u, v in ((4, 3), (1, 2), (2, 0), (0, 1)) for g in range(3)]).T
 
-# grad S at p_i is 2 sum_j (p_i - p_j), a linear map of the edges
-_GRAD_S = np.kron(np.array([np.eye(4)[j] - np.eye(4)[i] for i, j in TET_EDGES]) * 2.0, np.eye(3))
+# grad S at p_i is 2 sum_j (p_i - p_j), from the three edges at p_i:
+# -2 (e01 + e02 + e03), 2 (e01 - e12 - e13), 2 (e02 + e12 - e23) and
+# 2 (e03 + e13 + e23), as (factor, edge, op, edge, op, edge).
+_GRAD_S = ((-2.0, 0, np.add, 1, np.add, 2), (2.0, 0, np.subtract, 3, np.subtract, 4),
+           (2.0, 1, np.add, 3, np.subtract, 5), (2.0, 2, np.add, 4, np.add, 5))
 
 
 def _curvature_columns() -> np.ndarray:
-    """Column of each entry of a H_V + b H_S in the (m, 39) curvature table of `derivatives`.
+    """Row of each entry of a H_V + b H_S in the (39, m) curvature table of `derivatives`.
 
-    Columns 3k + g and 18 + 3k + g hold +-a (p_j - p_i)_g / 6 for edge
+    Rows 3k + g and 18 + 3k + g hold +-a (p_j - p_i)_g / 6 for edge
     k = (i, j); 36, 37 and 38 hold 6 b, -2 b and 0.  Block (i, j) of H_V is
     the cross-product matrix of p_k - p_l over 6, for (i, j, k, l) an even
     permutation of 0..3; it lies off the diagonal of the block, H_S on it.
@@ -81,7 +89,12 @@ def _curvature_columns() -> np.ndarray:
 
 
 CURVATURE_COLUMN = _curvature_columns()
-_HESS_S_VALUES = np.array([6.0, -2.0, 0.0])
+
+# Pair 4 i + j of vertex slots: coordinates 3i + r and 3j + c of its block,
+# r, c = 0..2, and the CURVATURE_COLUMN entry of each of its 9 entries.
+_PAIR_COORDS = 3 * np.array([np.arange(16) // 4, np.arange(16) % 4])[:, None] + np.arange(3)[:, None]
+_PAIR_CURVATURE = CURVATURE_COLUMN[_PAIR_COORDS[0][:, None], _PAIR_COORDS[1][None]]
+_HESS_S_VALUES = np.array([6.0, -2.0, 0.0])[:, None]
 
 # Elements per pass of quality_batch over a whole mesh: bounds its temporaries.
 _BLOCK = 1024
@@ -98,7 +111,7 @@ class QualityDiff:
 
 @dataclass
 class QualityTerms:
-    """Per-element q (m,), grads (m, 2, 12) = (grad V, grad S), coef (m, 4) = (A, B, n01, n11), edges (m, 18)."""
+    """Per-element q (m,), grads (2, 12, m) = (grad V, grad S), coef (4, m) = (A, B, n01, n11), edges (18, m)."""
 
     q: np.ndarray
     grads: np.ndarray
@@ -106,24 +119,37 @@ class QualityTerms:
     edges: np.ndarray
 
 
-def _edges(points: np.ndarray) -> np.ndarray:
-    x = np.asarray(points, dtype=np.float64).reshape(-1, 12)
-    edges = x[:, _ENDPOINTS[0]]
-    edges -= x[:, _ENDPOINTS[1]]
+def _rows(points: np.ndarray) -> np.ndarray:
+    """The coordinate rows of an (m, 12) or (m, 4, 3) array as a (4, 3, m) view: slot, axis, element."""
+    return np.asarray(points, dtype=np.float64).reshape(-1, 4, 3).transpose(1, 2, 0)
+
+
+def _edges(p: np.ndarray) -> np.ndarray:
+    """The (18, m) edges of (4, 3, m) coordinate rows, read in place, strided or not."""
+    edges = np.empty((18, p.shape[2]))
+    e = edges.reshape(6, 3, -1)
+    np.subtract(p[1:], p[0], out=e[:3])
+    np.subtract(p[2:], p[1], out=e[3:5])
+    np.subtract(p[3], p[2], out=e[5])
     return edges
 
 
-def _cross(edges: np.ndarray, columns: slice) -> np.ndarray:
-    """6 grad V at the given columns of the 12."""
-    f = edges[:, _CROSS[:, columns]]
-    return f[:, 0] * f[:, 1] - f[:, 2] * f[:, 3]
+def _cross(edges: np.ndarray, rows: slice) -> np.ndarray:
+    """6 grad V at the given rows of the 12."""
+    a, b, c, d = (edges.take(k, axis=0) for k in _CROSS[:, rows])
+    return a * b - c * d
 
 
 def _volume_quality(edges: np.ndarray, cross1: np.ndarray):
-    """V, S, S^(3/2) and q: the one path to q (S sums per edge: one 18-term sum is less accurate)."""
-    vol = (edges[:, :3] * cross1).sum(axis=1) / 6.0
-    by_edge = edges.reshape(-1, 6, 3)
-    ssum = np.einsum("ijk,ijk->ij", by_edge, by_edge).sum(axis=1)
+    """V, S, S^(3/2) and q: the one path to q (S sums per edge: one 18-term sum is less accurate).
+
+    Each sum adds its terms in a fixed order, the same in every column.
+    """
+    terms, squares = edges[:3] * cross1, edges * edges
+    vol = (terms[0] + terms[1] + terms[2]) / 6.0
+    by_edge = squares[0::3] + squares[1::3] + squares[2::3]
+    pairs = by_edge[:3] + by_edge[3:]
+    ssum = pairs[0] + pairs[1] + pairs[2]
     s32 = ssum * np.sqrt(ssum)
     return vol, ssum, s32, QCOEF * vol / s32
 
@@ -133,49 +159,63 @@ def quality_batch(points: np.ndarray) -> np.ndarray:
 
     Rows with all vertices coincident produce NaN.
     """
-    x = np.asarray(points, dtype=np.float64).reshape(-1, 12)
-    if len(x) > _BLOCK:
-        return np.concatenate([quality_batch(x[i:i + _BLOCK]) for i in range(0, len(x), _BLOCK)])
-    edges = _edges(x)
+    x = _rows(points)
+    q = np.empty(x.shape[2])
     with np.errstate(invalid="ignore", divide="ignore"):
-        return _volume_quality(edges, _cross(edges, slice(3, 6)))[3]
+        for i in range(0, len(q), _BLOCK):
+            edges = _edges(np.ascontiguousarray(x[..., i:i + _BLOCK]))
+            q[i:i + _BLOCK] = _volume_quality(edges, _cross(edges, slice(3, 6)))[3]
+    return q
 
 
 def quality_diff_batch(points: np.ndarray) -> QualityTerms:
-    """Quality, grad V, grad S, the coefficients A, B, n01, n11 and the edges per tet."""
-    edges = _edges(points)
+    """Quality, grad V, grad S, the coefficients A, B, n01, n11 and the edges of each tet, as rows."""
+    edges = _edges(_rows(points))
+    m = edges.shape[1]
     cross = _cross(edges, slice(None))
-    grads = np.empty((len(edges), 2, 12))
-    np.divide(cross, 6.0, out=grads[:, 0])
-    np.matmul(edges, _GRAD_S, out=grads[:, 1])
-    coef = np.empty((len(edges), 4))
+    grads = np.empty((2, 12, m))
+    np.divide(cross, 6.0, out=grads[0])
+    e = edges.reshape(6, 3, m)
+    for out, (factor, a, op_b, b, op_c, c) in zip(grads[1].reshape(4, 3, m), _GRAD_S):
+        op_c(op_b(e[a], e[b], out=out), e[c], out=out)
+        out *= factor
+    coef = np.empty((4, m))
     with np.errstate(invalid="ignore", divide="ignore"):
-        vol, ssum, s32, q = _volume_quality(edges, cross[:, 3:6])
-        np.divide(QCOEF, s32, out=coef[:, 0])
-        np.multiply(-1.5 / ssum, coef[:, 0], out=coef[:, 2])
-        np.multiply(coef[:, 2], vol, out=coef[:, 1])
-        np.multiply(-2.5 / ssum, coef[:, 1], out=coef[:, 3])
+        vol, ssum, s32, q = _volume_quality(edges, cross[3:6])
+        np.divide(QCOEF, s32, out=coef[0])
+        np.multiply(-1.5 / ssum, coef[0], out=coef[2])
+        np.multiply(coef[2], vol, out=coef[1])
+        np.multiply(-2.5 / ssum, coef[1], out=coef[3])
     return QualityTerms(q=q, grads=grads, coef=coef, edges=edges)
 
 
-def derivatives(grads: np.ndarray, edges: np.ndarray, ab: np.ndarray, weights: np.ndarray,
-                entry: np.ndarray, curv: np.ndarray) -> np.ndarray:
-    """Hessian entries G^T M G + a H_V + b H_S of f(q) per element.
+def slot_pairs(elem: np.ndarray, pair: np.ndarray, m: int) -> tuple:
+    """The indices `derivatives` reads for pairs 4 i + j of vertex slots of elements elem of m.
 
-    grads and edges are the kernel's, ab (m, 2) is c1 (A, B) and weights
-    (m, 2, 2) is M, as in the module docstring.  The entries are those at
-    entry = 144 e + 12 r + c, in any order, with curv = 39 e + CURVATURE_COLUMN[r, c].
-    One (m, 12, 12) table serves all m elements: a wave of `select_patches`
-    holds at most 64 free vertices, which bounds m.
+    row[r, p] and col[c, p] are the flat positions in (12, m) rows of
+    coordinates 3i + r and 3j + c of element elem[p], r, c = 0..2, and
+    curv[r, c, p] that of their curvature entry in the (39, m) table.
     """
-    m = len(ab)
-    products = np.matmul(grads.transpose(0, 2, 1), np.matmul(weights, grads)).take(entry)
-    curvature = np.empty((m, 39))
-    np.multiply(edges, ab[:, :1] / 6.0, out=curvature[:, :18])
-    np.negative(curvature[:, :18], out=curvature[:, 18:36])
-    np.multiply(ab[:, 1:], _HESS_S_VALUES, out=curvature[:, 36:])
-    products += curvature.take(curv)
-    return products
+    row, col = _PAIR_COORDS.take(pair, axis=2) * m + elem
+    return row, col, _PAIR_CURVATURE.take(pair, axis=2) * m + elem
+
+
+def derivatives(grads: np.ndarray, edges: np.ndarray, ab: np.ndarray, weights: np.ndarray,
+                row: np.ndarray, col: np.ndarray, curv: np.ndarray) -> np.ndarray:
+    """3 x 3 blocks G_i^T (M G_j) + a H_V + b H_S of the Hessian of f(q), (3, 3, pairs).
+
+    grads and edges are the kernel's, ab (2, m) is c1 (A, B) and weights
+    (2, 2, m) is M, as in the module docstring; row, col and
+    curv locate the pairs of vertex slots, as `slot_pairs` gives them.
+    Block [:, :, p] holds entries (3i + r, 3j + c) of pair p's element.
+    """
+    scaled = edges * (ab[0] / 6.0)
+    blocks = np.concatenate([scaled, -scaled, _HESS_S_VALUES * ab[1]]).take(curv)
+    mg = weights[:, :1] * grads[0] + weights[:, 1:] * grads[1]  # M G
+    g, mg = grads.reshape(2, -1).take(row, axis=1), mg.reshape(2, -1).take(col, axis=1)
+    blocks += g[0, :, None] * mg[0, None]
+    blocks += g[1, :, None] * mg[1, None]
+    return blocks
 
 
 def volume_length_quality(p0, p1, p2, p3) -> float:
@@ -188,12 +228,10 @@ def volume_length_quality(p0, p1, p2, p3) -> float:
 
 def volume_length_diff(p0, p1, p2, p3) -> QualityDiff:
     """Quality with analytic first and second derivatives for one tet."""
-    points = np.asarray([p0, p1, p2, p3], dtype=np.float64).reshape(1, 12)
-    terms = quality_diff_batch(points)
+    terms = quality_diff_batch(np.asarray([p0, p1, p2, p3], dtype=np.float64))
     if not np.isfinite(terms.q[0]):
         raise DegenerateTetError("quality undefined: all vertices coincident")
-    _, _, n01, n11 = terms.coef[0]
-    ab = terms.coef[:, :2]
-    hess = derivatives(terms.grads, terms.edges, ab, np.array([[[0.0, n01], [n01, n11]]]),
-                       np.arange(144), CURVATURE_COLUMN.reshape(-1))
-    return QualityDiff(q=float(terms.q[0]), grad=ab[0] @ terms.grads[0], hess=hess.reshape(12, 12))
+    a, b, n01, n11 = terms.coef
+    blocks = derivatives(terms.grads, terms.edges, terms.coef[:2], np.array([[[0.0], n01], [n01, n11]]), *slot_pairs(0, np.arange(16), 1))
+    hess = blocks.reshape(3, 3, 4, 4).transpose(2, 0, 3, 1).reshape(12, 12)
+    return QualityDiff(q=float(terms.q[0]), grad=(a * terms.grads[0] + b * terms.grads[1])[:, 0], hess=hess)

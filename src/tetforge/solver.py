@@ -142,15 +142,15 @@ def line_search(mesh, patch, system: PatchSystem, direction: np.ndarray,
     the step was rejected below 2^-20 and the mesh is untouched.
     """
     plan = system.plan
-    # trials move the ring coordinates (step 0 where fixed); acceptance writes the same bits to the mesh
+    # trials move the ring's (12, m) coordinate rows (step 0 where fixed); acceptance writes the same bits to the mesh
     start = mesh.vertices.take(plan.coords)
     step = np.zeros_like(start)
-    step.reshape(-1)[plan.grad_index] = direction[plan.grad_dof]
+    step.reshape(-1)[plan.free_coords] = direction[plan.free_dofs]
     slope = float(system.f @ direction)
     violations = 0
     alpha = 1.0
     while alpha >= MIN_ALPHA:
-        q = quality_batch(start + alpha * step)
+        q = quality_batch((start + alpha * step).T)
         q_min = q.min()
         if not q_min > params.gamma:  # also when some q is NaN
             violations += 1

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from tetforge.errors import MeshStructureError
-from tetforge.mesh import TET_FACES, TetMesh, VertexClass, group_faces, triangle_area_normals
+from tetforge.mesh import TET_FACES, TetMesh, VertexClass, group_faces, triangle_unit_normals
 
 logger = logging.getLogger("tetforge")
 
@@ -192,12 +192,10 @@ def build_topology(mesh: TetMesh, feature_angle_deg: float = 30.0) -> AdjacencyI
         if mesh.vertex_class is not None
         else np.zeros(mesh.num_vertices, dtype=bool)
     )
-    tri_normals = triangle_area_normals(mesh.vertices, mesh.surface_tris)
-    norms = np.linalg.norm(tri_normals, axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit_normals = tri_normals / norms[:, None]
+    unit_normals = triangle_unit_normals(mesh.vertices, mesh.surface_tris)
     cos_threshold = float(np.cos(np.radians(feature_angle_deg)))
-    tri_cluster, clusters = _cluster_slot_normals(vertex_tris, unit_normals, norms > 0.0, cos_threshold)
+    tri_cluster, clusters = _cluster_slot_normals(vertex_tris, unit_normals, ~np.isnan(unit_normals[:, 0]),
+                                                  cos_threshold)
 
     # one cluster is a smooth surface, two a crease; three or more, or none
     # on the surface (every incident triangle degenerate), pin a corner

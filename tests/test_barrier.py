@@ -15,7 +15,7 @@ from tetforge.driver import Patch, select_patches
 from tetforge.errors import BarrierViolationError
 from tetforge.fixtures import generate_test_mesh
 from tetforge.mesh import TetMesh, VertexClass
-from tetforge.quality import quality_batch, quality_diff_batch, volume_length_diff
+from tetforge.quality import quality_batch, volume_length_diff
 from tetforge.topology import build_topology
 
 from conftest import barrier_grad_hess, element_hessian, fd_gradient, fd_hessian, patch_objective, random_tet
@@ -270,33 +270,25 @@ def test_free_slot_assembly_matches_dense_sum(make_patches):
 
 @pytest.mark.parametrize("make_patches", [_one_tet_patches, _merged_patch, _sphere_patch],
                          ids=["one-tet", "merged", "sphere"])
-def test_plan_splits_ring_by_free_slot_count(make_patches):
+def test_plan_lists_the_free_slot_pairs_of_every_ring_element(make_patches):
     mesh, patches = make_patches()
-    sizes = np.zeros(2, dtype=int)
     for patch in patches:
         plan = plan_patch(mesh, patch)
-        # each ring element once; one-slot elements first, each group in patch order
-        assert sorted(plan.ring.tolist()) == sorted(np.asarray(patch.ring_tets).tolist())
+        m = len(plan.ring)
+        # each ring element once, in patch order
+        assert np.array_equal(plan.ring, patch.ring_tets)
         slots = np.isin(mesh.tets[plan.ring], patch.free_vertices)
         count = slots.sum(axis=1)
-        k = len(plan.single)
-        assert (count[:k] == 1).all() and (count[k:] != 1).all()
-        position = {int(t): i for i, t in enumerate(patch.ring_tets)}
-        for group in (plan.ring[:k], plan.ring[k:]):
-            assert np.all(np.diff([position[int(t)] for t in group]) > 0)
-        # single reads (grad V, grad S) at each one-slot element's free slot
-        grads = quality_diff_batch(mesh.vertices.take(plan.coords)).grads
-        slot = np.argmax(slots[:k], axis=1)
-        expected = np.array([grads[e, :, 3 * i:3 * i + 3].reshape(-1) for e, i in enumerate(slot)]).reshape(k, 6)
-        assert np.array_equal(grads.take(plan.single), expected)
-        # entry covers exactly the entries between free coordinates of the multi-slot elements
-        elem = np.unique(plan.entry // 144) + k
-        assert np.array_equal(elem, np.flatnonzero(count >= 2))
-        assert len(plan.entry) == 9 * int((count[k:] ** 2).sum())
-        assert len(plan.scatter) == 9 * k + len(plan.entry)
-        assert len(plan.grad_dof) == 3 * int(count.sum())
-        sizes += k, len(plan.ring) - k
-    assert (sizes > 0).all()  # both paths are exercised
+        # every pair (i, j) of an element's free slots, count^2 of them, element by element
+        elem, i, j = plan.row[0] % m, plan.row[0] // m // 3, plan.col[0] // m // 3
+        assert np.all(np.diff(elem) >= 0)
+        assert np.array_equal(np.bincount(elem, minlength=m), count ** 2)
+        assert slots[elem, i].all() and slots[elem, j].all()
+        assert len(set(zip(elem.tolist(), i.tolist(), j.tolist()))) == len(elem)
+        # 9 scatter entries per pair, 3 coordinate entries per free slot
+        assert len(plan.scatter) == 9 * len(elem)
+        assert np.array_equal(np.bincount(plan.free_coords % m, minlength=m), 3 * count)
+        assert len(plan.free_dofs) == len(plan.free_coords) == 3 * int(count.sum())
 
 
 def test_barrier_params_validation():

@@ -132,6 +132,28 @@ def test_quality_batch_is_the_kernels_quality_to_the_bit(rng):
         assert (q < 0).any() and (np.abs(q) < 1e-5).any()
         assert np.array_equal(quality_batch(points), q)
         assert np.array_equal(quality_batch(points.reshape(-1, 12)), q)
+        # the line search's layout: the F-ordered transpose of (12, m) coordinate rows
+        assert np.array_equal(quality_batch(np.ascontiguousarray(points.reshape(-1, 12).T).T), q)
         # a whole-mesh call runs in blocks; each element's q is unchanged
         assert np.array_equal(quality_batch(np.concatenate([points] * 9)), np.concatenate([q] * 9))
 
+
+def test_kernel_terms_of_an_element_do_not_depend_on_its_batch(rng):
+    # every step is elementwise across the columns of the (12, m) rows, so an
+    # element gives the same bits alone, at any column and in any order
+    points = _kernel_cases(rng)[0]
+    terms = quality_diff_batch(points)
+    fields = ("q", "grads", "coef", "edges")
+    order = rng.permutation(len(points))
+    permuted = quality_diff_batch(points[order])
+    for name in fields:
+        assert np.array_equal(getattr(permuted, name), getattr(terms, name)[..., order])
+    others = points[rng.choice(len(points), 16, replace=False)]
+    for k in rng.choice(len(points), 4, replace=False):
+        alone = quality_diff_batch(points[k:k + 1])
+        for name in fields:
+            assert np.array_equal(getattr(alone, name)[..., 0], getattr(terms, name)[..., k])
+        for column in range(len(others) + 1):
+            batch = quality_diff_batch(np.insert(others, column, points[k], axis=0))
+            for name in fields:
+                assert np.array_equal(getattr(batch, name)[..., column], getattr(terms, name)[..., k])

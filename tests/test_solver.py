@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import tetforge.barrier
 import tetforge.solver
-from tetforge.barrier import BarrierParams, assemble_patch_system
+from tetforge.barrier import BarrierParams, assemble_patch_system, plan_patch
 from tetforge.constraints import build_constraints
 from tetforge.driver import Patch, RunConfig, optimize_mesh, select_patches
 from tetforge.errors import NoProgressError
@@ -452,6 +453,27 @@ def test_step_below_the_rounding_floor_ends_the_solve_unsearched(monkeypatch):
     assert np.array_equal(mesh.vertices, before)
     assert not report.stalled
     assert report.iterations == 0 and report.barrier_violations == 0
+
+
+def test_kernel_and_trial_seams_see_one_row_per_ring_element(monkeypatch):
+    # the kernel and the line search run on (12, m) coordinate rows, but both
+    # module-level seams still take one entry per ring element, which is how
+    # a wrapper of them counts elements
+    mesh = generate_test_mesh("with-slivers", 3, seed=1, k=2, jitter=0.05)
+    adjacency = build_topology(mesh)
+    patch = select_patches(mesh, adjacency, target_quality=0.3, surface_motion=False)[0]
+    params = BarrierParams.from_quality(float(np.nanmin(quality_batch(mesh.tet_points()))), 0.75)
+    seen = {"kernel": [], "trial": []}
+    kernel, trial = tetforge.barrier.quality_diff_batch, tetforge.solver.quality_batch
+    monkeypatch.setattr(tetforge.barrier, "quality_diff_batch",
+                        lambda points: seen["kernel"].append(np.shape(points)) or kernel(points))
+    monkeypatch.setattr(tetforge.solver, "quality_batch",
+                        lambda points: seen["trial"].append(np.shape(points)) or trial(points))
+    m = len(plan_patch(mesh, patch).ring)
+    report = optimize_patch(mesh, patch, params)
+    assert report.iterations > 0
+    assert len(seen["kernel"]) >= report.iterations and len(seen["trial"]) >= report.iterations
+    assert set(seen["kernel"]) == set(seen["trial"]) == {(m, 12)}
 
 
 def test_untangles_inverted_patch(monkeypatch):

@@ -109,3 +109,18 @@ def test_incidence_slices_are_sorted_and_gather_concatenates():
 def test_mesh_without_tets_has_no_boundary_faces():
     faces = extract_boundary_faces(TetMesh(vertices=np.eye(3), tets=np.zeros((0, 4), dtype=np.int64)))
     assert faces.shape == (0, 3) and faces.dtype == np.int64
+
+
+@pytest.mark.parametrize("scale", [1e-70, 1e-90, 2.0 ** -300])
+def test_tiny_tet_beside_a_unit_one_is_classed_as_at_unit_scale(corner_tet, scale):
+    # the squared area normals of the tiny tet's faces underflow unless their edges are scaled first
+    flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.3, 0.3, 0.05]])
+
+    def classes(s):
+        mesh = TetMesh(vertices=np.concatenate([corner_tet, flat * s - 10.0 * s]),
+                       tets=np.array([[0, 1, 2, 3], [4, 5, 6, 7]]))
+        mesh.validate()
+        build_topology(mesh)
+        return mesh.vertex_class
+
+    assert np.array_equal(classes(scale), classes(1.0))
