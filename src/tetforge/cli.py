@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from tetforge.driver import RunConfig, optimize_mesh
-from tetforge.errors import MeshFormatError, MeshStructureError, TetForgeError
+from tetforge.errors import MeshFormatError, TetForgeError
 from tetforge.io import FORMATS, atomic_write_text, infer_format, load_mesh, save_mesh
 from tetforge.mesh import VertexClass
 from tetforge.metrics import HISTOGRAM_BINS
@@ -125,11 +125,6 @@ def run_cli(argv=None) -> int:
         # an output path that names no format fails here, before any work
         output_format = args.format or infer_format(args.output)
         mesh = load_mesh(args.input, args.format)
-    except (MeshFormatError, OSError) as exc:
-        print(f"tetforge: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    try:
         mesh.validate()
         adjacency = build_topology(mesh, config.feature_angle_deg)
         if args.fix:
@@ -144,9 +139,6 @@ def run_cli(argv=None) -> int:
             atomic_write_text(args.histogram, [_histogram_csv(report.final_metrics.dihedral_histogram)])
         if args.report:
             atomic_write_text(args.report, [json.dumps(report.to_dict(), indent=2) + "\n"])
-    except MeshStructureError as exc:
-        print(f"tetforge: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURE
     except (MeshFormatError, OSError) as exc:
         print(f"tetforge: {exc}", file=sys.stderr)
         return EXIT_IO

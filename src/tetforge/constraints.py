@@ -3,10 +3,11 @@
 A surface vertex may only move tangentially to the surface the mesh itself
 defines: its displacement must be orthogonal to the unit resultant normal
 of each of its normal clusters, the groups of incident surface triangles
-that set-up found (`AdjacencyIndex.normal_groups`).  A smooth vertex has one
-cluster, which leaves its tangent plane free; a crease vertex has two, which
-leave only the crease direction free; corners do not move at all.  A vertex
-whose cluster normal vanishes is demoted to a corner.
+that set-up found (the `AdjacencyIndex.tri_cluster` labels over the
+vertex's `vertex_tris` slots).  A smooth vertex has one cluster, which
+leaves its tangent plane free; a crease vertex has two, which leave only
+the crease direction free; corners do not move at all.  A vertex whose
+cluster normal vanishes is demoted to a corner.
 
 Every such condition touches the three DOFs of one vertex, so the
 constraint null space is block-diagonal.  Each free vertex gets an

@@ -14,7 +14,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from tetforge.errors import DegenerateTetError, MeshStructureError
+from tetforge.errors import MeshStructureError
 
 
 class VertexClass(IntEnum):
@@ -26,7 +26,7 @@ class VertexClass(IntEnum):
 
 
 # Vertex-slot order of the six edges of a tet, and the two remaining slots
-# opposite each edge.  dihedral_angles() reports angles in this edge order.
+# opposite each edge.  dihedral_angles_batch reports angles in this edge order.
 TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 TET_EDGE_OPPOSITE = ((2, 3), (1, 3), (1, 2), (0, 3), (0, 2), (0, 1))
 
@@ -180,11 +180,6 @@ def _cross_columns(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     np.subtract(a[0] * b[1], a[1] * b[0], out=out[2])
 
 
-def tet_signed_volume(p0, p1, p2, p3) -> float:
-    """Signed volume det[p1-p0, p2-p0, p3-p0] / 6."""
-    return float(tet_volumes(np.asarray([[p0, p1, p2, p3]], dtype=np.float64))[0])
-
-
 def tet_volumes(points: np.ndarray) -> np.ndarray:
     """Signed volumes for a batch of tets, points shaped (m, 4, 3)."""
     e1 = points[:, 1] - points[:, 0]
@@ -211,7 +206,7 @@ def dihedral_angles_batch(points: np.ndarray) -> np.ndarray:
     whose arithmetic neither underflows nor overflows, so that tiny and huge
     tets get their angles too.  An angle along a degenerate face (zero
     normal, also when an edge of it has zero length) is NaN rather than
-    raising; the scalar wrapper turns those into errors.
+    raising.
     """
     x = np.ascontiguousarray(np.asarray(points, dtype=np.float64).reshape(-1, 12).T)
     m = x.shape[1]
@@ -238,21 +233,6 @@ def dihedral_angles_batch(points: np.ndarray) -> np.ndarray:
     np.degrees(out, out=out)
     out[flat[_EDGE_FACES[0]] | flat[_EDGE_FACES[1]]] = np.nan
     return out.T
-
-
-def dihedral_angles(p0, p1, p2, p3) -> np.ndarray:
-    """Six interior dihedral angles in degrees, one per TET_EDGES entry.
-
-    Raises DegenerateTetError when the tet has zero volume (the angles are
-    undefined there).
-    """
-    points = np.asarray([p0, p1, p2, p3], dtype=np.float64)[None]
-    if tet_volumes(points)[0] == 0.0:
-        raise DegenerateTetError("dihedral angles undefined for a zero-volume tet")
-    angles = dihedral_angles_batch(points)[0]
-    if np.any(np.isnan(angles)):
-        raise DegenerateTetError("dihedral angles undefined: degenerate edge or face")
-    return angles
 
 
 def triangle_area_normals(vertices: np.ndarray, tris: np.ndarray) -> np.ndarray:

@@ -218,14 +218,6 @@ def derivatives(grads: np.ndarray, edges: np.ndarray, ab: np.ndarray, weights: n
     return blocks
 
 
-def volume_length_quality(p0, p1, p2, p3) -> float:
-    """Quality of one tet; raises DegenerateTetError if all vertices coincide."""
-    q = quality_batch(np.asarray([p0, p1, p2, p3], dtype=np.float64))[0]
-    if not np.isfinite(q):
-        raise DegenerateTetError("quality undefined: all vertices coincident")
-    return float(q)
-
-
 def volume_length_diff(p0, p1, p2, p3) -> QualityDiff:
     """Quality with analytic first and second derivatives for one tet."""
     terms = quality_diff_batch(np.asarray([p0, p1, p2, p3], dtype=np.float64))

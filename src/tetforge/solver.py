@@ -24,7 +24,6 @@ inverted element while gamma >= 0.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +33,6 @@ from tetforge.barrier import BarrierParams, PatchSystem, assemble_patch_system, 
 from tetforge.constraints import ConstraintSystem, project_system
 from tetforge.errors import NoProgressError
 from tetforge.quality import quality_batch
-
-logger = logging.getLogger("tetforge")
 
 ARMIJO_C = 1e-4
 MIN_ALPHA = 2.0 ** -20

@@ -71,8 +71,9 @@ class AdjacencyIndex:
         array of the tets incident to v.
     tri_cluster : one label per vertex_tris slot, the normal cluster that
         triangle joined at that vertex during classification, or -1 for a
-        zero-area triangle, which joins none.  normal_groups(v) turns a
-        vertex's labels back into triangle ids.
+        zero-area triangle, which joins none.  Cluster g of vertex v is
+        the triangles vertex_tris[v] whose slots are labelled g; clusters
+        are numbered 0, 1, ... in the order found.
     boundary_faces : outward-oriented faces with exactly one incident tet
         (the true domain boundary, excluding any internal surfaces listed in
         the file).
@@ -90,16 +91,6 @@ class AdjacencyIndex:
         keep = np.ones(len(ids), dtype=bool)
         keep[1:] = ids[1:] != ids[:-1]
         return ids[keep]
-
-    def normal_groups(self, v) -> list:
-        """Triangle ids of each normal cluster of vertex v, in the order found.
-
-        Smooth vertices have one cluster, crease vertices two; interior
-        vertices and those whose triangles all have zero area have none.
-        """
-        lo, hi = self.vertex_tris.indptr[v], self.vertex_tris.indptr[v + 1]
-        tris, labels = self.vertex_tris.indices[lo:hi], self.tri_cluster[lo:hi]
-        return [tris[labels == g] for g in range(labels.max(initial=-1) + 1)]
 
 
 def extract_boundary_faces(mesh: TetMesh) -> np.ndarray:

@@ -96,11 +96,18 @@ def element_hessian(points, c1: float, c2: float):
     return grad, G.T @ M @ G + c1 * (A * hess_v + B * hess_s)
 
 
+def cluster_triangles(adjacency, v):
+    """Triangle ids of each normal cluster of vertex v, from the tri_cluster labels of its vertex_tris slots."""
+    slots = slice(adjacency.vertex_tris.indptr[v], adjacency.vertex_tris.indptr[v + 1])
+    tris, labels = adjacency.vertex_tris.indices[slots], adjacency.tri_cluster[slots]
+    return [tris[labels == g] for g in range(labels.max(initial=-1) + 1)]
+
+
 def reference_constraints(patch, mesh, adjacency):
     """The tangent frames of `build_constraints`, one free vertex at a time.
 
     A smooth or crease vertex sums the area normals of each of its normal
-    clusters (`AdjacencyIndex.normal_groups`) and takes the SVD of its unit
+    clusters (`cluster_triangles`) and takes the SVD of its unit
     cluster normals; one with no cluster, or with a cluster normal no longer
     than 1e-14 times the summed lengths of that cluster's area normals, is
     demoted to a corner in place.  Returns (frames, keep, demoted).
@@ -110,7 +117,7 @@ def reference_constraints(patch, mesh, adjacency):
 
     def cluster_normals(v):
         normals = []
-        for tris in adjacency.normal_groups(v):
+        for tris in cluster_triangles(adjacency, v):
             areas = triangle_area_normals(mesh.vertices, mesh.surface_tris[tris])
             n = areas.sum(axis=0)
             norm = float(np.linalg.norm(n))
@@ -155,11 +162,11 @@ def resultant_normal(mesh, tri_ids):
 
 def random_tet(rng, min_volume=1e-3):
     """A uniformly random tet in the unit cube with volume bounded away from 0."""
-    from tetforge.mesh import tet_signed_volume
+    from tetforge.mesh import tet_volumes
 
     while True:
         p = rng.random((4, 3))
-        if abs(tet_signed_volume(*p)) >= min_volume:
+        if abs(tet_volumes(p[None])[0]) >= min_volume:
             return p
 
 

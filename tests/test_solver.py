@@ -10,7 +10,7 @@ from tetforge.driver import Patch, RunConfig, optimize_mesh, select_patches
 from tetforge.errors import NoProgressError
 from tetforge.fixtures import generate_test_mesh
 from tetforge.mesh import TetMesh, VertexClass
-from tetforge.quality import quality_batch, volume_length_quality
+from tetforge.quality import quality_batch
 from tetforge.solver import MAX_SHIFT_EXP, line_search, newton_direction, optimize_patch
 from tetforge.topology import build_topology
 
@@ -305,7 +305,7 @@ def test_line_search_halves_past_inversion():
     # apex starts high; the step overshoots through the base plane at
     # alpha=1 but lands at a better position at alpha=1/2
     mesh, patch = _single_tet_patch([0.25, 0.25, 3.0])
-    q0 = volume_length_quality(*mesh.vertices)
+    q0 = quality_batch(mesh.tet_points())[0]
     params = BarrierParams.from_quality(q0, 0.8)
     system = assemble_patch_system(mesh, patch, params)
     direction = np.array([0.0, 0.0, -5.4])
@@ -320,7 +320,7 @@ def test_line_search_halves_past_inversion():
 
 def test_line_search_zero_direction_trivially_accepted():
     mesh, patch = _single_tet_patch([0.3, 0.3, 1.0])
-    params = BarrierParams.from_quality(volume_length_quality(*mesh.vertices), 0.8)
+    params = BarrierParams.from_quality(quality_batch(mesh.tet_points())[0], 0.8)
     system = assemble_patch_system(mesh, patch, params)
     before = mesh.vertices.copy()
     alpha, violations, obj, _ = line_search(mesh, patch, system, np.zeros(3), params)
@@ -348,7 +348,7 @@ def test_full_step_accepted_near_optimum():
 
 def test_rejected_step_leaves_mesh_unchanged():
     mesh, patch = _single_tet_patch([0.25, 0.25, 1.0])
-    q0 = volume_length_quality(*mesh.vertices)
+    q0 = quality_batch(mesh.tet_points())[0]
     params = BarrierParams.from_quality(q0, 0.8)
     system = assemble_patch_system(mesh, patch, params)
     before = mesh.vertices.copy()

@@ -7,6 +7,8 @@ from tetforge.fixtures import KINDS, generate_test_mesh
 from tetforge.mesh import TetMesh, VertexClass, triangle_area_normals
 from tetforge.topology import build_topology, extract_boundary_faces
 
+from conftest import cluster_triangles
+
 
 def reference_cluster_normals(normals, tri_ids, cos_threshold):
     """Greedy angular grouping of unit normals, one vertex at a time."""
@@ -54,7 +56,7 @@ def assert_matches_reference(mesh, feature_angle_deg):
     classes, groups = reference_classify(mesh, feature_angle_deg)
     assert np.array_equal(mesh.vertex_class, classes)
     for v in range(mesh.num_vertices):
-        found = adjacency.normal_groups(v)
+        found = cluster_triangles(adjacency, v)
         expected = groups.get(v, [])
         assert len(found) == len(expected), v
         for a, b in zip(found, expected):
@@ -84,10 +86,10 @@ def test_zero_area_triangles_are_skipped_or_pin_a_corner():
                    surface_tris=np.concatenate([degenerate, extract_boundary_faces(mesh)]))
     adjacency = assert_matches_reference(mesh, 30.0)
     assert mesh.vertex_class[center] == VertexClass.CORNER
-    assert adjacency.normal_groups(center) == []
+    assert cluster_triangles(adjacency, center) == []
     for v in (bottom, top):
         assert mesh.vertex_class[v] == VertexClass.SURFACE_SMOOTH
-        (group,) = adjacency.normal_groups(v)
+        (group,) = cluster_triangles(adjacency, v)
         assert len(group) == adjacency.vertex_tris.degrees()[v] - 1 and 0 not in group
         lo = adjacency.vertex_tris.indptr[v]
         assert adjacency.vertex_tris.indices[lo] == 0 and adjacency.tri_cluster[lo] == -1
