@@ -92,12 +92,14 @@ def build_constraints(patch, mesh: TetMesh, adjacency: AdjacencyIndex):
     vertex keeps all three columns, a smooth surface or crease vertex its
     tangent columns, and a corner or user-fixed vertex none, so a vertex
     demoted after the patch was selected stays where it is.  A surface
-    vertex with no cluster, or with a cluster whose resultant is no longer
-    than a floor (opposing faces cancelling), is reclassified as a corner in
-    place and keeps no column.  The floor of a cluster is 1e-14 times the
-    summed lengths of its own area normals, so it depends neither on where
-    the mesh sits nor on how far the rest of the mesh reaches, and a
-    cluster whose normals are all zero is demoted.  Returns
+    vertex's cluster count is read from its class: set-up classed a vertex
+    with one normal cluster smooth and one with two a crease.  A vertex
+    with a cluster whose resultant is no longer than a floor (opposing
+    faces cancelling) is reclassified as a corner in place and keeps no
+    column.  The floor of a cluster is 1e-14 times the summed lengths of
+    its own area normals, so it depends neither on where the mesh sits nor
+    on how far the rest of the mesh reaches, and a cluster whose normals
+    are all zero is demoted.  Returns
     (ConstraintSystem, demoted), demoted listing the vertices reclassified
     by this call, in free-vertex order.
     """
@@ -118,22 +120,21 @@ def build_constraints(patch, mesh: TetMesh, adjacency: AdjacencyIndex):
     label = adjacency.tri_cluster[slot]
     joined = label >= 0
     owner, slot, label = owner[joined], slot[joined], label[joined]
-    width = int(label.max(initial=0)) + 1
-    present = np.zeros((len(surface), width), dtype=bool)
-    present[owner, label] = True
-    clusters = present.sum(axis=1)
+    # a smooth vertex's code is its cluster count, 1, and a crease vertex's, 2:
+    # set-up classed each by the clusters it found, labelled 0 and 1
+    clusters = cls[surface]
     # one sum of area normals per (vertex, cluster), each in slot order
-    area = triangle_area_normals(mesh.vertices, mesh.surface_tris[incidence.indices[slot]])
-    key = 3 * (owner * width + label)[:, None] + np.arange(3)
+    area = triangle_area_normals(mesh.vertices, adjacency.tris[incidence.indices[slot]])
+    key = 3 * (2 * owner + label)[:, None] + np.arange(3)
     resultant = np.bincount(key.reshape(-1), weights=area.reshape(-1),
-                            minlength=3 * width * len(surface)).reshape(len(surface), width, 3)
+                            minlength=6 * len(surface)).reshape(len(surface), 2, 3)
     # the norm as 1x3 times 3x1 products, which round like np.linalg.norm of one vector
     norm = np.sqrt((resultant[:, :, None, :] @ resultant[:, :, :, None])[:, :, 0, 0])
-    floor = 1e-14 * np.bincount(owner * width + label, weights=np.sqrt(np.einsum("ij,ij->i", area, area)),
-                                minlength=width * len(surface)).reshape(len(surface), width)
+    floor = 1e-14 * np.bincount(2 * owner + label, weights=np.sqrt(np.einsum("ij,ij->i", area, area)),
+                                minlength=2 * len(surface)).reshape(len(surface), 2)
 
-    degenerate = (clusters == 0) | ((norm <= floor) & present).any(axis=1)
-    for c in np.unique(clusters[~degenerate]).tolist():
+    degenerate = ((norm <= floor) & (np.arange(2) < clusters[:, None])).any(axis=1)
+    for c in (_SMOOTH, _CREASE):
         rows = np.flatnonzero(~degenerate & (clusters == c))
         at = surface[rows]
         frames[at], keep[at] = tangent_frame(resultant[rows, :c] / norm[rows, :c, None])

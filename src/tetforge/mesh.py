@@ -73,9 +73,14 @@ class TetMesh:
         return len(self.tets)
 
     def tet_points(self, ids=None) -> np.ndarray:
-        """Coordinates of tets as an (m, 4, 3) array."""
+        """Coordinates of tets (all, or those of ids) as an (m, 4, 3) view of their coordinate rows.
+
+        The gather runs on the transposes, so the view's (4, 3, m) transpose,
+        one row per coordinate, is contiguous: `coordinate_rows` and every
+        per-tet measure read it without a copy.
+        """
         tets = self.tets if ids is None else self.tets[ids]
-        return self.vertices[tets]
+        return self.vertices.T.take(tets.T, axis=1).T
 
     def copy(self) -> "TetMesh":
         return TetMesh(
@@ -112,8 +117,7 @@ class TetMesh:
             raise MeshStructureError("vertex coordinates out of range: need |x| <= 2^100 and extent >= 2^-100")
         from tetforge.quality import quality_batch  # quality imports this module
 
-        # the points as a view of their coordinate rows, which quality_batch reads without a transpose
-        bad = ~np.isfinite(quality_batch(self.vertices.T.take(self.tets.T, axis=1).T))
+        bad = ~np.isfinite(quality_batch(self.tet_points()))
         if np.any(bad):
             raise MeshStructureError(f"tet {int(np.argmax(bad))} is degenerate: its quality is not finite")
         if len(self.surface_tris):
@@ -180,14 +184,32 @@ def _cross_columns(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     np.subtract(a[0] * b[1], a[1] * b[0], out=out[2])
 
 
+def coordinate_rows(points: np.ndarray) -> np.ndarray:
+    """The coordinate rows of tets given as (m, 12) or (m, 4, 3), as a (4, 3, m) view: slot, axis, tet.
+
+    The one reader of a batch of tets.  A row view (`TetMesh.tet_points`,
+    or an F-ordered (m, 12) array, the transpose of (12, m) rows) comes out
+    contiguous, a C-ordered array strided; either way no copy is made.
+    """
+    return np.asarray(points, dtype=np.float64).reshape(-1, 4, 3).transpose(1, 2, 0)
+
+
+def triple_volume(e01: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """Signed volume e01 . cross / 6 of (3, m) rows, with cross = e02 x e03: the one volume formula.
+
+    x, y and z are summed in that order, the same in every column, so a
+    tet's volume does not depend on the layout of its batch.
+    """
+    terms = e01 * cross
+    return (terms[0] + terms[1] + terms[2]) / 6.0
+
+
 def tet_volumes(points: np.ndarray) -> np.ndarray:
-    """Signed volumes for a batch of tets, points shaped (m, 4, 3)."""
-    e1 = points[:, 1] - points[:, 0]
-    e2 = points[:, 2] - points[:, 0]
-    e3 = points[:, 3] - points[:, 0]
-    cross = np.empty_like(e1)
-    _cross_columns(e2.T, e3.T, cross.T)
-    return np.einsum("ij,ij->i", e1, cross) / 6.0
+    """Signed volumes for a batch of tets, points as `coordinate_rows` reads them."""
+    x = coordinate_rows(points)
+    cross = np.empty(x.shape[1:])
+    _cross_columns(x[2] - x[0], x[3] - x[0], cross)
+    return triple_volume(x[1] - x[0], cross)
 
 
 # The two faces along each edge of TET_EDGES: those opposite its two opposite slots.
@@ -195,25 +217,25 @@ _EDGE_FACES = np.array(TET_EDGE_OPPOSITE).T
 
 
 def dihedral_angles_batch(points: np.ndarray) -> np.ndarray:
-    """Six interior dihedral angles in degrees for each tet in (m, 4, 3).
+    """Six interior dihedral angles in degrees for each tet, points as `coordinate_rows` reads them.
 
     Angle k lies along TET_EDGES[k], between the faces opposite slots a and
     b of TET_EDGE_OPPOSITE[k]: with N_a, N_b their normals both pointing in
     (or both out) it is atan2(|N_a x N_b|, -N_a . N_b), for either
-    orientation of the tet.  The work runs on the (12, m) transpose of the
-    coordinates, one contiguous row per coordinate.  Each tet's edges are
+    orientation of the tet.  The work runs on the coordinate rows, one row
+    per coordinate and a column per tet.  Each tet's edges are
     first scaled by a power of two, which is exact and changes no angle
     whose arithmetic neither underflows nor overflows, so that tiny and huge
     tets get their angles too.  An angle along a degenerate face (zero
     normal, also when an edge of it has zero length) is NaN rather than
     raising.
     """
-    x = np.ascontiguousarray(np.asarray(points, dtype=np.float64).reshape(-1, 12).T)
-    m = x.shape[1]
+    x = coordinate_rows(points)
+    m = x.shape[2]
     # the edges from p_0, each tet's scaled by the power of two that brings its
     # largest component into [1/2, 1): exact, and the normals and their products
     # then neither underflow on a tiny tet nor overflow on a huge one
-    d = (x[3:].reshape(3, 3, m) - x[:3]).reshape(9, m)
+    d = (x[1:] - x[0]).reshape(9, m)
     np.ldexp(d, -np.frexp(np.abs(d).max(axis=0))[1], out=d)
     d1, d2, d3 = d[:3], d[3:6], d[6:]
     # the normal of the face opposite slot l is 6 grad V at p_l

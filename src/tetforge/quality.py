@@ -6,16 +6,19 @@ a regular tet, 0 for a degenerate one and negative for an inverted one, and
 is smooth in the vertex positions wherever at least one edge has nonzero
 length.
 
-Elements come as (m, 12) rows, x, y, z of p0..p3, or (m, 4, 3) arrays.  The
-work runs on their (12, m) transpose, one row per coordinate, as in
-`mesh.dihedral_angles_batch`, viewed as (4, 3, m); an F-ordered (m, 12)
-array, the transpose of contiguous rows, is read without a copy.  Every step is elementwise across
-the columns, so an element's results do not depend on its column or on the
-other elements of the batch.  All is computed from the six edge vectors
-p_j - p_i, so nothing depends on where an element sits, and `quality_batch`
-shares its steps with the kernel `quality_diff_batch`, so both give the same
-q to the bit.  S^(3/2) is S sqrt(S): sqrt is correctly rounded and
-pow(S, 1.5) is not, so a run on 2^k X is exactly 2^k times the run on X.
+Elements come as (m, 12) rows, x, y, z of p0..p3, or (m, 4, 3) arrays,
+read through `mesh.coordinate_rows`, the reader that `mesh.tet_volumes` and
+`mesh.dihedral_angles_batch` share: the work runs on their (4, 3, m)
+coordinate rows, which `TetMesh.tet_points` and an F-ordered (m, 12) array,
+the transpose of contiguous rows, give without a copy.  Every step is
+elementwise across the columns, so an element's results do not depend on
+its column or on the other elements of the batch.  All is computed from the
+six edge vectors p_j - p_i, so nothing depends on where an element sits;
+`quality_batch` shares its steps with the kernel `quality_diff_batch`, so
+both give the same q to the bit, and V is `mesh.triple_volume`, as in
+`mesh.tet_volumes`, so all three give the same V to the bit.  S^(3/2) is
+S sqrt(S): sqrt is correctly rounded and pow(S, 1.5) is not, so a run on
+2^k X is exactly 2^k times the run on X.
 With S the sum of squared edge lengths and q = c V S^(-3/2), the kernel
 returns q, the edges, G = [grad V; grad S] (2 x 12) and the scalars
 A = c S^(-3/2), B = -3/2 c V S^(-5/2) and the entries n01, n11 of
@@ -46,7 +49,7 @@ from itertools import permutations
 import numpy as np
 
 from tetforge.errors import DegenerateTetError
-from tetforge.mesh import TET_EDGES
+from tetforge.mesh import TET_EDGES, coordinate_rows, triple_volume
 
 # q = QCOEF * V / S^(3/2) with S the sum of squared edge lengths:
 # 6*sqrt(2) * V / (S/6)^(3/2) = 6^(5/2)*sqrt(2) * V * S^(-3/2).
@@ -119,11 +122,6 @@ class QualityTerms:
     edges: np.ndarray
 
 
-def _rows(points: np.ndarray) -> np.ndarray:
-    """The coordinate rows of an (m, 12) or (m, 4, 3) array as a (4, 3, m) view: slot, axis, element."""
-    return np.asarray(points, dtype=np.float64).reshape(-1, 4, 3).transpose(1, 2, 0)
-
-
 def _edges(p: np.ndarray) -> np.ndarray:
     """The (18, m) edges of (4, 3, m) coordinate rows, read in place, strided or not."""
     edges = np.empty((18, p.shape[2]))
@@ -145,8 +143,7 @@ def _volume_quality(edges: np.ndarray, cross1: np.ndarray):
 
     Each sum adds its terms in a fixed order, the same in every column.
     """
-    terms, squares = edges[:3] * cross1, edges * edges
-    vol = (terms[0] + terms[1] + terms[2]) / 6.0
+    vol, squares = triple_volume(edges[:3], cross1), edges * edges
     by_edge = squares[0::3] + squares[1::3] + squares[2::3]
     pairs = by_edge[:3] + by_edge[3:]
     ssum = pairs[0] + pairs[1] + pairs[2]
@@ -159,7 +156,7 @@ def quality_batch(points: np.ndarray) -> np.ndarray:
 
     Rows with all vertices coincident produce NaN.
     """
-    x = _rows(points)
+    x = coordinate_rows(points)
     q = np.empty(x.shape[2])
     with np.errstate(invalid="ignore", divide="ignore"):
         for i in range(0, len(q), _BLOCK):
@@ -170,7 +167,7 @@ def quality_batch(points: np.ndarray) -> np.ndarray:
 
 def quality_diff_batch(points: np.ndarray) -> QualityTerms:
     """Quality, grad V, grad S, the coefficients A, B, n01, n11 and the edges of each tet, as rows."""
-    edges = _edges(_rows(points))
+    edges = _edges(coordinate_rows(points))
     m = edges.shape[1]
     cross = _cross(edges, slice(None))
     grads = np.empty((2, 12, m))

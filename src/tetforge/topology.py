@@ -4,8 +4,9 @@ The surface of the volume mesh is recovered as the set of tet faces with
 exactly one incident element, wound outward using the owning tet (the
 remaining vertex lies on the negative side of the face).  Surface vertices
 are then classified by greedily clustering the normals of their incident
-surface triangles: one cluster means the vertex sits on a smooth patch, two
-mean it rides a crease, three or more pin it as a corner.
+surface triangles, the listed ones and the boundary faces the file does not
+list: one cluster means the vertex sits on a smooth patch, two mean it rides
+a crease, three or more pin it as a corner.
 """
 
 from __future__ import annotations
@@ -67,8 +68,12 @@ class AdjacencyIndex:
     """Vertex incidence plus surface classification artifacts.
 
     vertex_tets / vertex_tris : Incidence (CSR arrays) of the tets and of
-        the surface triangles at each vertex; vertex_tets[v] is the sorted
-        array of the tets incident to v.
+        the classified surface triangles (rows of tris) at each vertex;
+        vertex_tets[v] is the sorted array of the tets incident to v.
+    tris : (k, 3) the classified surface: the triangles the file lists,
+        followed by the boundary faces it does not list, so that every
+        boundary vertex is a surface vertex; the boundary faces alone when
+        the file lists none.  mesh.surface_tris keeps the listed ones.
     tri_cluster : one label per vertex_tris slot, the normal cluster that
         triangle joined at that vertex during classification, or -1 for a
         zero-area triangle, which joins none.  Cluster g of vertex v is
@@ -81,6 +86,7 @@ class AdjacencyIndex:
 
     vertex_tets: Incidence
     vertex_tris: Incidence
+    tris: np.ndarray
     tri_cluster: np.ndarray
     boundary_faces: np.ndarray = field(default_factory=lambda: np.zeros((0, 3), dtype=np.int64))
 
@@ -167,23 +173,31 @@ def build_topology(mesh: TetMesh, feature_angle_deg: float = 30.0) -> AdjacencyI
     """Build adjacency, extract the surface if absent, classify vertices.
 
     Fills mesh.surface_tris (when empty) and mesh.vertex_class in place and
-    returns the adjacency index.  Vertices already marked USER_FIXED keep
-    that mark.
+    returns the adjacency index.  Vertices are classified over the listed
+    triangles and the boundary faces the file leaves out, so a boundary
+    vertex that no listed triangle touches is still a surface vertex.
+    Vertices already marked USER_FIXED keep that mark.
     """
-    boundary = extract_boundary_faces(mesh)
+    boundary = tris = extract_boundary_faces(mesh)
     if len(mesh.surface_tris) == 0:
         mesh.surface_tris = boundary
         mesh.tri_refs = np.zeros(len(boundary), dtype=np.int64)
+    else:
+        # a boundary face is unlisted when its group holds no listed triangle
+        listed = len(mesh.surface_tris)
+        order, starts, counts = group_faces(np.concatenate([mesh.surface_tris, boundary]))
+        alone = np.sort(order[starts[counts == 1]])
+        tris = np.concatenate([mesh.surface_tris, boundary[alone[alone >= listed] - listed]])
 
     vertex_tets = Incidence.from_elements(mesh.num_vertices, mesh.tets)
-    vertex_tris = Incidence.from_elements(mesh.num_vertices, mesh.surface_tris)
+    vertex_tris = Incidence.from_elements(mesh.num_vertices, tris)
 
     keep_fixed = (
         mesh.vertex_class == VertexClass.USER_FIXED
         if mesh.vertex_class is not None
         else np.zeros(mesh.num_vertices, dtype=bool)
     )
-    unit_normals = triangle_unit_normals(mesh.vertices, mesh.surface_tris)
+    unit_normals = triangle_unit_normals(mesh.vertices, tris)
     cos_threshold = float(np.cos(np.radians(feature_angle_deg)))
     tri_cluster, clusters = _cluster_slot_normals(vertex_tris, unit_normals, ~np.isnan(unit_normals[:, 0]),
                                                   cos_threshold)
@@ -208,6 +222,7 @@ def build_topology(mesh: TetMesh, feature_angle_deg: float = 30.0) -> AdjacencyI
     return AdjacencyIndex(
         vertex_tets=vertex_tets,
         vertex_tris=vertex_tris,
+        tris=tris,
         tri_cluster=tri_cluster,
         boundary_faces=boundary,
     )

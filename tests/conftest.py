@@ -118,7 +118,7 @@ def reference_constraints(patch, mesh, adjacency):
     def cluster_normals(v):
         normals = []
         for tris in cluster_triangles(adjacency, v):
-            areas = triangle_area_normals(mesh.vertices, mesh.surface_tris[tris])
+            areas = triangle_area_normals(mesh.vertices, adjacency.tris[tris])
             n = areas.sum(axis=0)
             norm = float(np.linalg.norm(n))
             if norm <= 1e-14 * np.linalg.norm(areas, axis=1).sum():

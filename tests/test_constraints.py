@@ -19,7 +19,7 @@ from tetforge.driver import Patch, RunConfig, optimize_mesh, select_patches
 from tetforge.fixtures import generate_test_mesh
 from tetforge.mesh import TetMesh, VertexClass
 from tetforge.quality import quality_batch
-from tetforge.topology import build_topology
+from tetforge.topology import build_topology, extract_boundary_faces
 
 from conftest import cluster_triangles, reference_constraints, resultant_normal
 
@@ -258,6 +258,17 @@ def _sphere_patches():
     return mesh, adjacency, select_patches(mesh, adjacency, target_quality=0.5, surface_motion=True)
 
 
+def _half_listed_patches():
+    # the file lists half the boundary; vertex_tris indexes the classified
+    # surface, those triangles followed by the unlisted boundary faces
+    sphere = generate_test_mesh("sphere", 4, seed=6, jitter=0.1)
+    faces = extract_boundary_faces(sphere)
+    mesh = TetMesh(vertices=sphere.vertices, tets=sphere.tets, surface_tris=faces[::2])
+    adjacency = build_topology(mesh)
+    assert len(adjacency.tris) == len(faces) > len(mesh.surface_tris)
+    return mesh, adjacency, select_patches(mesh, adjacency, target_quality=0.5, surface_motion=True)
+
+
 def _crease_patches():
     mesh = generate_test_mesh("grid", 3, seed=0, jitter=0.25)
     adjacency = build_topology(mesh)
@@ -283,9 +294,10 @@ def _inject_demotions(mesh, adjacency, patch, monkeypatch):
     return dataclasses.replace(adjacency, tri_cluster=tri_cluster)
 
 
-@pytest.mark.parametrize("case", ["sphere", "crease", "demotion"])
+@pytest.mark.parametrize("case", ["sphere", "crease", "demotion", "half listed"])
 def test_batched_frames_match_the_vertex_loop(case, monkeypatch):
-    mesh, adjacency, patches = _crease_patches() if case == "crease" else _sphere_patches()
+    make = {"crease": _crease_patches, "half listed": _half_listed_patches}.get(case, _sphere_patches)
+    mesh, adjacency, patches = make()
     if case == "demotion":
         adjacency = _inject_demotions(mesh, adjacency, patches[0], monkeypatch)
     classes = set()

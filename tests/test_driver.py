@@ -10,7 +10,7 @@ from tetforge.mesh import TetMesh, VertexClass, dihedral_angles_batch, tet_volum
 from tetforge.metrics import dihedral_range, global_metrics
 from tetforge.quality import quality_batch
 from tetforge.solver import newton_direction
-from tetforge.topology import build_topology
+from tetforge.topology import build_topology, extract_boundary_faces
 
 
 # --- fixtures ----------------------------------------------------------------
@@ -429,6 +429,29 @@ def test_no_surface_motion_keeps_surface_bitwise():
     report = optimize_mesh(mesh, RunConfig(surface_motion=False), adjacency=adjacency)
     assert np.array_equal(mesh.vertices[surface], before)
     assert report.volume_drift_percent == 0.0
+
+
+@pytest.mark.parametrize("surface_motion", [False, True])
+def test_a_file_listing_half_its_boundary_keeps_the_volume(surface_motion):
+    # the unlisted boundary faces are classified too: no boundary vertex is
+    # interior, so without surface motion none moves, and with it each slides
+    # in its tangent plane
+    sphere = generate_test_mesh("sphere", 5, seed=3, jitter=0.15)
+    faces = extract_boundary_faces(sphere)
+    listed = faces[:len(faces) // 2]
+    mesh = TetMesh(vertices=sphere.vertices, tets=sphere.tets, surface_tris=listed)
+    adjacency = build_topology(mesh)
+    boundary = np.unique(faces)
+    assert not (mesh.vertex_class[boundary] == VertexClass.INTERIOR).any()
+    before = mesh.vertices[boundary].copy()
+    report = optimize_mesh(mesh, RunConfig(target_quality=0.5, surface_motion=surface_motion), adjacency=adjacency)
+    assert np.array_equal(mesh.surface_tris, listed)
+    if surface_motion:
+        assert not np.array_equal(mesh.vertices[boundary], before)
+        assert report.volume_drift_percent <= 0.01
+    else:
+        assert np.array_equal(mesh.vertices[boundary], before)
+        assert report.volume_drift_percent == 0.0
 
 
 def test_user_fixed_vertices_never_move():

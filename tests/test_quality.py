@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetforge.errors import DegenerateTetError
-from tetforge.mesh import tet_volumes
-from tetforge.quality import quality_batch, quality_diff_batch, volume_length_diff
+from tetforge.mesh import TetMesh, coordinate_rows, dihedral_angles_batch, tet_volumes
+from tetforge.quality import _cross, _edges, _volume_quality, quality_batch, quality_diff_batch, volume_length_diff
 
 from conftest import fd_gradient, fd_hessian, random_tet
 
@@ -134,6 +134,31 @@ def test_quality_batch_is_the_kernels_quality_to_the_bit(rng):
         assert np.array_equal(quality_batch(np.ascontiguousarray(points.reshape(-1, 12).T).T), q)
         # a whole-mesh call runs in blocks; each element's q is unchanged
         assert np.array_equal(quality_batch(np.concatenate([points] * 9)), np.concatenate([q] * 9))
+
+
+def test_tet_volumes_is_the_kernels_volume_to_the_bit(rng):
+    # one formula: e01 . (e02 x e03) / 6 with x, y, z summed in that order
+    for points in _kernel_cases(rng):
+        edges = _edges(coordinate_rows(points))
+        assert np.array_equal(tet_volumes(points), _volume_quality(edges, _cross(edges, slice(3, 6)))[0])
+
+
+def test_per_tet_measures_give_the_same_bits_for_every_layout(rng):
+    points = _kernel_cases(rng)[0]
+    mesh = TetMesh(vertices=points.reshape(-1, 3), tets=np.arange(4 * len(points)).reshape(-1, 4))
+    ids = rng.permutation(len(points))[:100]
+    layouts = {
+        "C (m, 4, 3)": points,
+        "F (m, 4, 3)": np.asfortranarray(points),
+        "(m, 12)": points.reshape(-1, 12),
+        "F (m, 12)": np.asfortranarray(points.reshape(-1, 12)),
+        "tet_points": mesh.tet_points(),
+    }
+    for measure in (tet_volumes, quality_batch, dihedral_angles_batch):
+        expected = measure(points)
+        for name, layout in layouts.items():
+            assert np.array_equal(measure(layout), expected, equal_nan=True), (measure.__name__, name)
+        assert np.array_equal(measure(mesh.tet_points(ids)), expected[ids], equal_nan=True), measure.__name__
 
 
 def test_kernel_terms_of_an_element_do_not_depend_on_its_batch(rng):

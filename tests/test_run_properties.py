@@ -2,8 +2,9 @@
 
 Each example mutates one fixture in ways that must not matter (its vertices
 and tets renumbered, a rigid rotation and shift, an even permutation of each
-tet's vertex list), writes it to a Medit file, improves it in process and
-through `run_cli` with the same settings, and checks:
+tet's vertex list, half its boundary faces listed as surface triangles),
+writes it to a Medit file, improves it in process and through `run_cli` with
+the same settings, and checks:
 
 - no accepted step takes a valid input below quality 0;
 - without surface motion the volume does not drift;
@@ -27,8 +28,9 @@ from tetforge import RunConfig, TetMesh, build_topology, generate_test_mesh, loa
 from tetforge.cli import run_cli
 from tetforge.fixtures import KINDS
 from tetforge.quality import quality_batch
+from tetforge.topology import extract_boundary_faces
 
-MUTATIONS = ("renumber", "rigid motion", "even permutation")
+MUTATIONS = ("renumber", "rigid motion", "even permutation", "half the boundary listed")
 
 # the 12 orders of a tet's four slots that keep its orientation
 _EVEN = np.array([p for p in permutations(range(4)) if sum(a > b for a, b in combinations(p, 2)) % 2 == 0])
@@ -53,7 +55,11 @@ def _mutated(mesh, mutations, seed):
         vertices = vertices @ rotation.T + rng.uniform(-1.0, 1.0, size=3)
     if "even permutation" in mutations:
         tets = np.take_along_axis(tets, _EVEN[rng.integers(len(_EVEN), size=len(tets))], axis=1)
-    return TetMesh(vertices=vertices, tets=tets)
+    mesh = TetMesh(vertices=vertices, tets=tets)
+    if "half the boundary listed" in mutations:
+        faces = extract_boundary_faces(mesh)
+        mesh = TetMesh(vertices=vertices, tets=tets, surface_tris=faces[rng.permutation(len(faces))[:len(faces) // 2]])
+    return mesh
 
 
 @st.composite

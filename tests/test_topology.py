@@ -72,7 +72,13 @@ def test_classification_matches_vertex_loop(kind, seed, angle):
     # move the surface too, so that grids get curved faces and mixed creases
     rng = np.random.default_rng(seed)
     mesh.vertices += rng.normal(scale=0.03, size=mesh.vertices.shape) * (seed % 2)
-    assert_matches_reference(mesh, angle)
+    adjacency = assert_matches_reference(mesh, angle)
+    # build_constraints reads a vertex's cluster count from its class: a smooth
+    # vertex's slots are labelled 0 (or -1, zero area), a crease vertex's 0 and 1
+    for cls, labels in ((VertexClass.SURFACE_SMOOTH, {0}), (VertexClass.FEATURE_EDGE, {0, 1})):
+        for v in np.flatnonzero(mesh.vertex_class == cls):
+            slots = slice(adjacency.vertex_tris.indptr[v], adjacency.vertex_tris.indptr[v + 1])
+            assert set(adjacency.tri_cluster[slots].tolist()) - {-1} == labels, v
 
 
 def test_zero_area_triangles_are_skipped_or_pin_a_corner():
