@@ -48,14 +48,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("input", help="input mesh (.mesh Medit or .vtk legacy)")
     parser.add_argument("-o", "--output", help="output mesh path")
     parser.add_argument("--format", choices=FORMATS, help="force input/output format")
-    parser.add_argument("--target-quality", type=float, default=0.3, metavar="F",
-                        help="patch selection threshold (default 0.3)")
-    parser.add_argument("--barrier-schedule", default="0.75,0.85,0.95", metavar="F[,F...]",
-                        help="comma-separated barrier constants in (0,1)")
-    parser.add_argument("--max-passes", type=int, default=30, metavar="N",
-                        help="pass cap per barrier constant (default 30)")
-    parser.add_argument("--feature-angle", type=float, default=30.0, metavar="DEG",
-                        help="crease detection threshold (default 30)")
+    defaults = RunConfig()
+    parser.add_argument("--target-quality", type=float, default=defaults.target_quality, metavar="F",
+                        help="patch selection threshold (default %(default)s)")
+    parser.add_argument("--barrier-schedule", default=",".join(map(str, defaults.b_schedule)), metavar="F[,F...]",
+                        help="comma-separated barrier constants in (0,1) (default %(default)s)")
+    parser.add_argument("--max-passes", type=int, default=defaults.max_passes, metavar="N",
+                        help="pass cap per barrier constant (default %(default)s)")
+    parser.add_argument("--feature-angle", type=float, default=defaults.feature_angle_deg, metavar="DEG",
+                        help="crease detection threshold (default %(default)s)")
     parser.add_argument("--no-surface-motion", action="store_true",
                         help="keep every surface vertex fixed")
     parser.add_argument("--all-patches", action="store_true",

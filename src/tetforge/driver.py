@@ -59,7 +59,7 @@ MODES = ("selective", "all-patches")
 MAX_PATCH_VERTICES = 64
 
 # A barrier constant's passes stop once a pass raises the worst quality by
-# less than this.
+# less than this and by no more than the pass before it did.
 CONVERGENCE_TOL = 1e-4
 
 
@@ -284,28 +284,16 @@ def select_patches(mesh: TetMesh, adjacency: AdjacencyIndex, target_quality: flo
             for wave in waves]
 
 
-class _TetMeasures:
-    """Per-tet signed volume, quality and dihedral angles.
+def _measure(mesh: TetMesh, ids: np.ndarray, arrays: tuple) -> None:
+    """Write the signed volume, quality and dihedral angles of tets `ids` into arrays.
 
-    Aggregating these arrays gives the same figures, bit for bit, as
+    arrays is (volumes, qualities, angles) over every tet, as global_metrics
+    takes them.  Aggregating them gives the same figures, bit for bit, as
     evaluating the whole mesh again: each entry depends on its own tet only.
     """
-
-    def __init__(self, num_tets: int):
-        self.volume = np.empty(num_tets)
-        self.quality = np.empty(num_tets)
-        self.angles = np.empty((num_tets, 6))
-
-    def update(self, mesh: TetMesh, ids: np.ndarray) -> None:
-        """Re-evaluate tets `ids` at the current coordinates."""
-        points = mesh.tet_points(ids)
-        self.volume[ids] = tet_volumes(points)
-        self.quality[ids] = quality_batch(points)
-        self.angles[ids] = dihedral_angles_batch(points)
-
-    def arrays(self) -> tuple:
-        """(volumes, qualities, dihedral angles) of every tet, as global_metrics takes them."""
-        return self.volume, self.quality, self.angles
+    points = mesh.tet_points(ids)
+    for array, measure in zip(arrays, (tet_volumes, quality_batch, dihedral_angles_batch)):
+        array[ids] = measure(points)
 
 
 def optimize_mesh(mesh: TetMesh, config: RunConfig,
@@ -313,35 +301,39 @@ def optimize_mesh(mesh: TetMesh, config: RunConfig,
                   on_pass=None) -> OptimizationReport:
     """Improve the mesh in place and return the run report.
 
-    For every barrier constant in the schedule, passes run until the worst
-    quality stops improving by more than CONVERGENCE_TOL or max_passes is
-    reached.  on_pass, when given, receives each PassRecord as it completes.
+    For every barrier constant in the schedule, passes run until max_passes
+    is reached or a pass raises the worst quality by less than
+    CONVERGENCE_TOL and by no more than the pass before it at that constant
+    (than 0 for the first).  So a worst quality that climbs from nearly 0,
+    gaining more each pass, keeps its stage going.  on_pass, when given,
+    receives each PassRecord as it completes.
     """
     config.validate()
     t0 = time.perf_counter()
     if adjacency is None:
         adjacency = build_topology(mesh, config.feature_angle_deg)
     report = OptimizationReport()
-    measures = _TetMeasures(mesh.num_tets)
-    measures.update(mesh, np.arange(mesh.num_tets))
-    report.initial_metrics = global_metrics(mesh, adjacency, measures.arrays())
+    arrays = np.empty(mesh.num_tets), np.empty(mesh.num_tets), np.empty((mesh.num_tets, 6))
+    volumes, qualities, angles = arrays
+    _measure(mesh, np.arange(mesh.num_tets), arrays)
+    report.initial_metrics = global_metrics(mesh, adjacency, arrays)
     report.min_quality_seen = report.initial_metrics.q_min
     boundary_volume_0 = surface_enclosed_volume(mesh.vertices, adjacency.boundary_faces)
 
     for b in config.b_schedule:
+        gain_before = 0.0
         for pass_index in range(config.max_passes):
             t_pass = time.perf_counter()
-            q_min_before = float(np.nanmin(measures.quality))
+            q_min_before = float(np.nanmin(qualities))
             params = BarrierParams.from_quality(q_min_before, b)
             patches = select_patches(
                 mesh, adjacency, config.target_quality,
                 mode=config.mode, surface_motion=config.surface_motion,
-                qualities=measures.quality,
+                qualities=qualities,
             )
             if not patches:
                 break
-            counts = dict(stalled=0, newton_iterations=0, shifted_solves=0, barrier_rejections=0)
-            stalled_seeds = []
+            solves = []
             touched = np.zeros(mesh.num_tets, dtype=bool)
             for patch in patches:
                 # the tangent frames, built from the current vertex classes, alone
@@ -349,20 +341,13 @@ def optimize_mesh(mesh: TetMesh, config: RunConfig,
                 # earlier patch or by this build, keeps no frame column and does not move;
                 # a wave without surface vertices gets identity frames and no constraint
                 constraints, _ = build_constraints(patch, mesh, adjacency)
-                solve = optimize_patch(mesh, patch, params,
-                                       constraints=constraints if constraints.num_rows else None)
+                solves.append(optimize_patch(mesh, patch, params,
+                                             constraints=constraints if constraints.num_rows else None))
                 touched[patch.ring_tets] = True
-                counts["newton_iterations"] += solve.iterations
-                counts["shifted_solves"] += solve.shifted_solves
-                counts["barrier_rejections"] += solve.barrier_violations
-                if solve.stalled:
-                    counts["stalled"] += 1
-                    stalled_seeds.extend(int(t) for t in patch.seed_tets)
-                report.min_quality_seen = min(report.min_quality_seen, solve.min_quality)
 
-            measures.update(mesh, np.flatnonzero(touched))
-            q_min_after = float(np.nanmin(measures.quality))
-            min_dihedral, max_dihedral = dihedral_range(measures.angles)
+            _measure(mesh, np.flatnonzero(touched), arrays)
+            q_min_after = float(np.nanmin(qualities))
+            min_dihedral, max_dihedral = dihedral_range(angles)
             boundary_now = surface_enclosed_volume(mesh.vertices, adjacency.boundary_faces)
             drift = abs(boundary_now - boundary_volume_0) / abs(boundary_volume_0) * 100.0 \
                 if boundary_volume_0 else 0.0
@@ -374,17 +359,20 @@ def optimize_mesh(mesh: TetMesh, config: RunConfig,
                 q_min=q_min_after,
                 min_dihedral_deg=min_dihedral,
                 max_dihedral_deg=max_dihedral,
-                volume=float(measures.volume.sum()),
+                volume=float(volumes.sum()),
                 drift_percent=drift,
                 elapsed_s=time.perf_counter() - t_pass,
                 patches=len(patches),
                 chunks=sum(len(p.chunk_sizes) for p in patches),
+                stalled=sum(s.stalled for s in solves),
+                newton_iterations=sum(s.iterations for s in solves),
+                shifted_solves=sum(s.shifted_solves for s in solves),
+                barrier_rejections=sum(s.barrier_violations for s in solves),
                 max_patch_dofs=max(3 * len(p.free_vertices) for p in patches),
-                stalled_seeds=stalled_seeds,
-                **counts,
+                stalled_seeds=[int(t) for p, s in zip(patches, solves) if s.stalled for t in p.seed_tets],
             )
             report.passes.append(record)
-            report.min_quality_seen = min(report.min_quality_seen, q_min_after)
+            report.min_quality_seen = min(report.min_quality_seen, *(s.min_quality for s in solves), q_min_after)
             if on_pass is not None:
                 on_pass(record)
             logger.info(
@@ -392,10 +380,12 @@ def optimize_mesh(mesh: TetMesh, config: RunConfig,
                 pass_index, b, q_min_before, q_min_after, record.patches, record.chunks, record.stalled,
                 record.elapsed_s,
             )
-            if q_min_after - q_min_before < CONVERGENCE_TOL:
+            gain = q_min_after - q_min_before
+            if gain < CONVERGENCE_TOL and gain <= gain_before:
                 break
+            gain_before = gain
 
-    report.final_metrics = global_metrics(mesh, adjacency, measures.arrays())
+    report.final_metrics = global_metrics(mesh, adjacency, arrays)
     # no vertex moves after the last pass record is taken
     report.volume_drift_percent = report.passes[-1].drift_percent if report.passes else 0.0
     report.elapsed_s = time.perf_counter() - t0

@@ -45,6 +45,9 @@ def global_metrics(mesh: TetMesh, adjacency: AdjacencyIndex,
                    tet_arrays: tuple | None = None) -> GlobalMetrics:
     """Aggregate metrics over all elements; requires built topology.
 
+    total_surface_area is the area of the domain boundary, the faces of
+    adjacency.boundary_faces, whether or not the file lists them; listed
+    triangles inside the domain (a material interface) do not count.
     tet_arrays, when given, is (volumes, qualities, dihedral angles) of every
     tet at the current coordinates, as tet_volumes, quality_batch and
     dihedral_angles_batch return them; the mesh is then not evaluated again.
@@ -54,7 +57,7 @@ def global_metrics(mesh: TetMesh, adjacency: AdjacencyIndex,
         tet_arrays = tet_volumes(points), quality_batch(points), dihedral_angles_batch(points)
     volumes, qualities, angles = tet_arrays
     worst = int(np.nanargmin(qualities)) if len(qualities) else -1
-    area = float(np.linalg.norm(triangle_area_normals(mesh.vertices, mesh.surface_tris), axis=1).sum())
+    area = float(np.linalg.norm(triangle_area_normals(mesh.vertices, adjacency.boundary_faces), axis=1).sum())
     min_dihedral, max_dihedral = dihedral_range(angles)
     return GlobalMetrics(
         total_volume=float(volumes.sum()),

@@ -10,6 +10,7 @@ import pytest
 
 import tetforge.cli
 from tetforge.cli import run_cli
+from tetforge.driver import RunConfig
 from tetforge.errors import BarrierViolationError, NoProgressError
 from tetforge.fixtures import generate_test_mesh
 from tetforge.io import load_mesh, save_mesh
@@ -197,6 +198,30 @@ def test_report_volume_drift_consistent(tmp_path, sliver_mesh_file):
     v1 = surface_enclosed_volume(improved.vertices, extract_boundary_faces(improved))
     recomputed = abs(v1 - v0) / abs(v0) * 100.0
     assert report["volume_drift_percent"] == pytest.approx(recomputed, abs=1e-12)
+
+
+def test_flags_left_out_give_the_run_config_defaults(tmp_path, sliver_mesh_file, monkeypatch):
+    configs = []
+    optimize_mesh = tetforge.cli.optimize_mesh
+
+    def recording(mesh, config, **kwargs):
+        configs.append(config)
+        return optimize_mesh(mesh, config, **kwargs)
+
+    monkeypatch.setattr(tetforge.cli, "optimize_mesh", recording)
+    assert run_cli([str(sliver_mesh_file), "-o", str(tmp_path / "out.mesh")]) == 0
+    assert configs == [RunConfig()]
+
+
+def test_nearly_flat_sphere_reaches_the_target(tmp_path):
+    # the worst element starts at q_min 6.7e-7; the run must not stop while it climbs
+    path = tmp_path / "sphere.mesh"
+    save_mesh(generate_test_mesh("sphere", 8, seed=3, jitter=0.15), path)
+    report_path = tmp_path / "r.json"
+    assert run_cli([str(path), "-o", str(tmp_path / "out.mesh"), "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["initial"]["q_min"] < 1e-5
+    assert report["final"]["q_min"] >= 0.29
 
 
 def test_in_place(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 import tetforge.driver
 import tetforge.solver
 from tetforge.barrier import BarrierParams, assemble_patch_system, compute_gamma
-from tetforge.driver import MAX_PATCH_VERTICES, Patch, RunConfig, _seed_chunks, optimize_mesh, select_patches
+from tetforge.driver import CONVERGENCE_TOL, MAX_PATCH_VERTICES, Patch, RunConfig, _seed_chunks, optimize_mesh, select_patches
 from tetforge.fixtures import generate_test_mesh
 from tetforge.mesh import TetMesh, VertexClass, dihedral_angles_batch, tet_volumes
 from tetforge.metrics import dihedral_range, global_metrics
@@ -413,6 +413,24 @@ def test_q_min_strictly_increases_until_convergence():
             assert record.q_min > record.q_min_before
 
 
+@pytest.mark.parametrize("n, seed", [(8, 3), (10, 0)])
+def test_nearly_flat_worst_element_climbs_to_the_target(n, seed):
+    # the worst element starts nearly flat (q_min 6.7e-7 and 1.6e-6) and each
+    # stage's first pass gains less than CONVERGENCE_TOL, by a growing factor
+    # per pass: a stage must not end while the gains still grow
+    mesh = generate_test_mesh("sphere", n, seed=seed, jitter=0.15)
+    report = optimize_mesh(mesh, RunConfig())
+    assert report.initial_metrics.q_min < 1e-5
+    assert report.final_metrics.q_min >= 0.29
+    stages = {}
+    for record in report.passes:
+        stages.setdefault(record.b, []).append(record.q_min - record.q_min_before)
+    for gains in stages.values():
+        # every pass but the stage's last gained at least the tolerance, or more than the pass before it
+        for before, gain in zip([0.0] + gains, gains[:-1]):
+            assert gain >= CONVERGENCE_TOL or gain > before
+
+
 def test_untangle_within_pass_budget():
     mesh = generate_test_mesh("with-inverted", 4, seed=11, k=2, jitter=0.05)
     assert np.nanmin(quality_batch(mesh.tet_points())) < 0.0
@@ -586,6 +604,57 @@ def test_pass_counters_deterministic_and_nonzero():
     for record in report.passes:
         assert (record.stalled == 0) == (record.stalled_seeds == [])
         assert record.chunks == movable_tets > record.patches
+
+
+@pytest.mark.parametrize("case", ["selective", "all-patches", "stalled"])
+def test_pass_tallies_are_the_sums_over_the_wave_reports(monkeypatch, case):
+    # each PassRecord's tallies, stalled seeds and the run's min_quality_seen
+    # are read from the solve reports of the pass's waves, in wave order
+    solve_patch = tetforge.driver.optimize_patch
+    waves, every_solve, checked = [], [], []
+
+    def recording(mesh, patch, *args, **kwargs):
+        solve = solve_patch(mesh, patch, *args, **kwargs)
+        # below every pass figure, so that min_quality_seen must read it from the reports
+        solve.min_quality -= 1.0
+        waves.append((patch, solve))
+        every_solve.append(solve)
+        return solve
+
+    def on_pass(record):
+        stalled_seeds = []
+        for patch, solve in waves:
+            if solve.stalled:
+                stalled_seeds += patch.seed_tets.tolist()
+        assert record.patches == len(waves)
+        assert type(record.stalled) is int
+        assert record.stalled == len([solve for _, solve in waves if solve.stalled])
+        assert record.newton_iterations == sum(solve.iterations for _, solve in waves)
+        assert record.shifted_solves == sum(solve.shifted_solves for _, solve in waves)
+        assert record.barrier_rejections == sum(solve.barrier_violations for _, solve in waves)
+        assert record.stalled_seeds == stalled_seeds
+        checked.append(record)
+        waves.clear()
+
+    monkeypatch.setattr(tetforge.driver, "optimize_patch", recording)
+    if case == "stalled":
+        # as in test_patches_that_cannot_step_are_stalled: every trial crosses the barrier,
+        # here in two waves, whose stalled seeds keep the wave order
+        monkeypatch.setattr(tetforge.solver, "quality_batch", lambda points: np.full(len(points), np.nan))
+        mesh = generate_test_mesh("with-slivers", 4, seed=9, k=3, jitter=0.1)
+        config = RunConfig(max_passes=1, b_schedule=(0.75,))
+    else:
+        mesh = generate_test_mesh("with-slivers", 3, seed=1, k=2, jitter=0.05)
+        config = RunConfig(mode=case, max_passes=3)
+    report = optimize_mesh(mesh, config, on_pass=on_pass)
+    assert checked == report.passes != []
+    if case == "stalled":
+        assert [(record.stalled, record.patches) for record in checked] == [(2, 2)]
+    else:
+        assert sum(record.newton_iterations for record in checked) > 0
+    assert report.min_quality_seen == min([report.initial_metrics.q_min]
+                                          + [solve.min_quality for solve in every_solve]
+                                          + [record.q_min for record in checked])
 
 
 def test_round_off_armijo_failures_are_not_stalls():

@@ -314,6 +314,21 @@ def test_cube_metrics():
     assert metrics.total_surface_area == pytest.approx(6.0, rel=1e-12)
 
 
+def test_surface_area_is_the_domain_boundary_whatever_the_file_lists():
+    # a file that lists half its boundary, or lists a face inside the domain
+    # as well, reports the area of the domain boundary, as listing none does
+    sphere = generate_test_mesh("sphere", 5, seed=3, jitter=0.15)
+    faces = extract_boundary_faces(sphere)
+    boundary = {tuple(face) for face in np.sort(faces, axis=1).tolist()}
+    inner = next(face for face in sphere.tets[:, [0, 1, 2]] if tuple(sorted(face.tolist())) not in boundary)
+    areas = []
+    for listed in (np.zeros((0, 3), dtype=np.int64), faces[:len(faces) // 2], np.vstack([faces, inner])):
+        mesh = TetMesh(vertices=sphere.vertices, tets=sphere.tets, surface_tris=listed)
+        areas.append(global_metrics(mesh, build_topology(mesh)).total_surface_area)
+    assert areas[0] == pytest.approx(12.4419, abs=1e-4)
+    assert areas[1] == areas[2] == areas[0]
+
+
 def test_single_regular_tet_histogram(regular_tet):
     mesh = TetMesh(vertices=regular_tet, tets=np.array([[0, 1, 2, 3]]))
     adjacency = build_topology(mesh)
